@@ -30,8 +30,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import PreconditionError
-from .laurent import (LaurentPoly, ONE, cyclotomic, divides, euler_phi,
-                      exact_div, normalize_unit)
+from .laurent import (LaurentPoly, _factorize, cyclotomic_multiplicities,
+                      euler_phi)
 from .cgroup import CPresentation, graph_and_deficiency
 from .lmodule import (DerivedModule, Fingerprint, alexander_polynomial,
                       derived, fingerprint, group_module)
@@ -77,42 +77,10 @@ class CoveringReport:
     checks: tuple
 
 
-def cyclotomic_multiplicities(delta: LaurentPoly):
-    """Greedy cyclotomic factorization of a nonzero poly, up to units.
-
-    Returns ``(multiplicities, fully_cyclotomic)`` where multiplicities
-    maps d to the exponent of the d-th cyclotomic factor and the flag
-    says whether those factors exhaust delta.  The candidate bound uses
-    phi(d) >= sqrt(d/2), so every divisor of bounded degree is tried.
-    """
-    if delta.is_zero:
-        raise PreconditionError("zero polynomial has no factorization")
-    rem = normalize_unit(delta)
-    mults: dict = {}
-    deg = rem.degree
-    bound = 2 * deg * deg + 6
-    d = 1
-    while d <= bound and rem.degree > 0:
-        phi_d = cyclotomic(d)
-        while phi_d.degree <= rem.degree and divides(phi_d, rem):
-            rem = normalize_unit(exact_div(rem, phi_d))
-            mults[d] = mults.get(d, 0) + 1
-        d += 1
-    return mults, rem == ONE
-
-
 def _prime_power_base(k: int) -> Optional[int]:
     """The prime p when k = p^r (r >= 1), else None."""
-    if k < 2:
-        return None
-    n, p = k, 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            return p if n == 1 else None
-        p += 1
-    return n
+    primes = list(_factorize(k))
+    return primes[0] if len(primes) == 1 else None
 
 
 def _betti_check(delta: LaurentPoly, k: int, b1: int) -> Optional[CheckResult]:

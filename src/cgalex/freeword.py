@@ -16,8 +16,7 @@ from .laurent import LaurentPoly, NotPolynomial, split_unipotent
 
 __all__ = [
     "Word", "WordSyntax", "NotConjugationRelator", "parse_word",
-    "exponent_sum", "fox_nu", "as_c_relation", "w_of_poly", "r_of_poly",
-    "r_of_vector",
+    "fox_nu", "as_c_relation", "w_of_poly", "r_of_poly", "r_of_vector",
 ]
 
 
@@ -189,15 +188,6 @@ def parse_word(text: str, *, filename=None, line=None) -> Word:
         sign = 1 if exp > 0 else -1
         letters.extend(((gen, sign),) * abs(exp))
     return Word(letters)
-
-
-def exponent_sum(w: Word) -> int:
-    """Total exponent sum; the abelianized image of w is t to this power.
-
-    >>> exponent_sum(parse_word("x1 x2 x1 x2^-1 x1^-1 x2^-1"))
-    0
-    """
-    return w.exponent_sum()
 
 
 def fox_nu(r: Word, i: int) -> LaurentPoly:

@@ -3,7 +3,8 @@
 All coefficients are arbitrary-precision Python integers; nothing here ever
 rounds.  Units of the ring are +-t^k, and :func:`normalize_unit` picks the
 canonical representative of each unit orbit (lowest exponent 0, positive
-leading coefficient).
+leading coefficient).  Cyclotomic factorization and the bounded integer
+factoring that the other modules share live here too.
 """
 
 from __future__ import annotations
@@ -340,6 +341,35 @@ def _content(coeffs) -> int:
     return g
 
 
+def _long_div(num, den, exact: bool):
+    """Long division of dense integer coefficient lists (index = exponent).
+
+    Returns (quotient, remainder), the remainder without high zero terms.
+    Where a leading coefficient of the running remainder is not divisible
+    by den's, exact division gives up and returns None, while pseudo
+    division (exact=False) scales the running remainder and quotient by the
+    least positive factor that makes it divisible: the remainder it returns
+    is then a positive multiple of the remainder over Q.
+    """
+    rem, quot = list(num), [0] * max(len(num) - len(den) + 1, 0)
+    lead = den[-1]
+    for k in range(len(quot) - 1, -1, -1):
+        c = rem[k + len(den) - 1]
+        if c % lead:
+            if exact:
+                return None
+            scale = abs(lead) // gcd(lead, c)
+            rem = [x * scale for x in rem]
+            quot = [x * scale for x in quot]
+            c *= scale
+        quot[k] = c // lead
+        for idx, dc in enumerate(den):
+            rem[k + idx] -= quot[k] * dc
+    while rem and not rem[-1]:
+        rem.pop()
+    return quot, rem
+
+
 def _try_exact_div(a: LaurentPoly, b: LaurentPoly):
     """a / b if the division is exact, else None.
 
@@ -355,21 +385,10 @@ def _try_exact_div(a: LaurentPoly, b: LaurentPoly):
     b = b.shift(-b.lowest_exponent)
     if a.degree < b.degree:
         return None
-    num = [Fraction(c) for c in _dense(a)]
-    den = [Fraction(c) for c in _dense(b)]
-    dq = len(num) - len(den)
-    quot = [Fraction(0)] * (dq + 1)
-    for k in range(dq, -1, -1):
-        coeff = num[k + len(den) - 1] / den[-1]
-        quot[k] = coeff
-        if coeff:
-            for idx, dc in enumerate(den):
-                num[k + idx] -= coeff * dc
-    if any(num):
+    division = _long_div(_dense(a), _dense(b), exact=True)
+    if division is None or division[1]:
         return None
-    if any(c.denominator != 1 for c in quot):
-        return None
-    return _from_dense(quot).shift(shift_back)
+    return _from_dense(division[0]).shift(shift_back)
 
 
 def divides(b: LaurentPoly, a: LaurentPoly) -> bool:
@@ -405,38 +424,16 @@ def gcd_primitive(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
         return normalize_unit(p)
     a = _dense(normalize_unit(p))
     b = _dense(normalize_unit(q))
-    ca, cb = _content(a), _content(b)
-    content = gcd(ca, cb)
+    content = gcd(_content(a), _content(b))
 
     def primitive(coeffs):
         c = _content(coeffs)
         return [x // c for x in coeffs]
 
     a, b = primitive(a), primitive(b)
-    # Euclid over Q on primitive integer representatives (Gauss's lemma).
-    while any(b):
-        num = [Fraction(c) for c in a]
-        den = [Fraction(c) for c in b]
-        while len(num) >= len(den) and any(num):
-            while num and not num[-1]:
-                num.pop()
-            if len(num) < len(den):
-                break
-            coeff = num[-1] / den[-1]
-            shiftk = len(num) - len(den)
-            for idx, dc in enumerate(den):
-                num[shiftk + idx] -= coeff * dc
-            num.pop()
-        while num and not num[-1]:
-            num.pop()
-        if not num:
-            a, b = b, []
-            break
-        lcm = 1
-        for c in num:
-            lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-        r = primitive([int(c * lcm) for c in num])
-        a, b = b, r
+    # Euclid on primitive pseudo-remainders (Gauss's lemma).
+    while b:
+        a, b = b, primitive(_long_div(a, b, exact=False)[1])
     g = _from_dense(a) * content
     return normalize_unit(g)
 
@@ -467,16 +464,31 @@ def split_unipotent(f: LaurentPoly) -> LaurentPoly:
     return g
 
 
+# Largest trial divisor.  Factoring raises PreconditionError, instead of
+# running on, when what is left of n after its primes up to this bound is
+# not known to be prime: two prime factors above it, or one above its square.
+FACTOR_LIMIT = 10 ** 6
+
+
 def _factorize(n: int) -> dict[int, int]:
+    """Prime factorization {p: exponent} of n >= 1 by trial division.
+
+    >>> _factorize(360)
+    {2: 3, 3: 2, 5: 1}
+    """
     out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
+    rest, d = n, 2
+    while d * d <= rest:
+        if d > FACTOR_LIMIT:
+            raise PreconditionError(
+                f"factoring {n} stops at the trial-division bound "
+                f"{FACTOR_LIMIT}: the cofactor {rest} is not proved prime")
+        while rest % d == 0:
             out[d] = out.get(d, 0) + 1
-            n //= d
+            rest //= d
         d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
+    if rest > 1:
+        out[rest] = out.get(rest, 0) + 1
     return out
 
 
@@ -511,6 +523,33 @@ def cyclotomic(d: int) -> LaurentPoly:
         if d % e == 0:
             num = exact_div(num, cyclotomic(e))
     return num
+
+
+def cyclotomic_multiplicities(delta: LaurentPoly):
+    """Greedy cyclotomic factorization of a nonzero poly, up to units.
+
+    Returns ``(multiplicities, fully_cyclotomic)`` where multiplicities
+    maps d to the exponent of the d-th cyclotomic factor and the flag
+    says whether those factors exhaust delta.  The candidate bound uses
+    phi(d) >= sqrt(d/2), so every divisor of bounded degree is tried.
+
+    >>> cyclotomic_multiplicities(parse_poly("t^3 - t^2 - t + 1"))
+    ({1: 2, 2: 1}, True)
+    """
+    if delta.is_zero:
+        raise PreconditionError("zero polynomial has no factorization")
+    rem = normalize_unit(delta)
+    mults: dict = {}
+    bound = 2 * rem.degree * rem.degree + 6
+    d = 1
+    while d <= bound and rem.degree > 0:
+        if euler_phi(d) <= rem.degree:
+            phi_d = cyclotomic(d)
+            while phi_d.degree <= rem.degree and divides(phi_d, rem):
+                rem = normalize_unit(exact_div(rem, phi_d))
+                mults[d] = mults.get(d, 0) + 1
+        d += 1
+    return mults, rem == ONE
 
 
 class UnipotenceReport:
@@ -554,27 +593,20 @@ def unipotent_admissible(g: LaurentPoly) -> UnipotenceReport:
     if not g.is_polynomial:
         raise NotPolynomial(f"({g}) has negative exponents")
     g0 = normalize_unit(g)
-    deg = g0.degree
-    found = []
-    dmax = 2 * deg * deg + 6
-    for d in range(1, dmax + 1):
-        if euler_phi(d) <= deg and divides(cyclotomic(d), g0):
-            found.append(d)
+    mults, fully = cyclotomic_multiplicities(g0)
+    repeated = any(c > 1 for c in mults.values())
     violated = []
-    prod = ONE
-    for d in found:
-        prod = prod * cyclotomic(d)
-    if prod != g0:
+    if repeated or not fully:
         violated.append("product-of-cyclotomics")
-    if any(divides(cyclotomic(d) * cyclotomic(d), g0) for d in found):
+    if repeated:
         violated.append("no-repeated-factor")
-    if any(is_prime_power(d) for d in found):
+    if any(is_prime_power(d) for d in mults):
         violated.append("no-prime-power-cyclotomic")
     if eval_at(g0, 1) not in (1, -1):
         violated.append("unit-value-at-one")
-    if deg % 2 != 0:
+    if g0.degree % 2 != 0:
         violated.append("even-degree")
-    return UnipotenceReport(not violated, violated, found)
+    return UnipotenceReport(not violated, violated, sorted(mults))
 
 
 def reduce_mod_cyclic(p: LaurentPoly, k: int) -> tuple[int, ...]:

@@ -10,15 +10,16 @@ integer arithmetic.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from math import gcd
 from typing import Optional
 
 from .errors import ParseError, PreconditionError
 from .laurent import (LaurentPoly, ZERO, ONE, ONE_MINUS_T, parse_poly,
                       normalize_unit, gcd_primitive, reduce_mod_cyclic,
-                      divides, exact_div)
-from .zmodule import (IntMatrix, cokernel, induced_endo, is_automorphism,
-                      GroupEndo, FgAbelianGroup, charpoly)
+                      divides, exact_div, _factorize)
+from .zmodule import (IntMatrix, cokernel, induced_endo, GroupEndo,
+                      FgAbelianGroup, charpoly)
 
 EXPANSION_LIMIT = 4096
 
@@ -68,36 +69,61 @@ class LambdaPresentation:
 @dataclass(frozen=True)
 class DerivedModule:
     """The quotient of a Lambda-module by (t^k - 1), as an abelian group
-    with the residual t-action."""
+    with the residual t-action.
+
+    cyclic_cokernels holds (d, (invariant_factors, free_rank)) of the
+    cokernel of t^d - 1 for each divisor d of t_order; t - 1 is invertible
+    exactly when the d = 1 entry is the trivial group.
+    """
 
     k: int
     group: FgAbelianGroup
     t_action: GroupEndo
     t1_invertible: bool
-    t_order: Optional[int]
+    t_order: int
     order: Optional[int]
+    cyclic_cokernels: tuple
 
 
 def _divisors(k: int):
     return [d for d in range(1, k + 1) if k % d == 0]
 
 
-def _shift_matrix(ncols: int, k: int) -> IntMatrix:
-    """Block-diagonal cyclic shift: multiplication by t on Z[t]/(t^k-1)^ncols."""
+def _shift_matrix(ncols: int, k: int, d: int) -> IntMatrix:
+    """t^d on Z[t]/(t^k-1)^ncols: the block-diagonal cyclic shift by d."""
     n = ncols * k
     entries = [[0] * n for _ in range(n)]
     for g in range(ncols):
         for e in range(k):
-            entries[g * k + (e + 1) % k][g * k + e] = 1
+            entries[g * k + (e + d) % k][g * k + e] = 1
     return IntMatrix(entries)
+
+
+def _expansion(P: LambdaPresentation, k: int) -> IntMatrix:
+    """The integer relation matrix of P/(t^k - 1)P.
+
+    Each Lambda-generator splits into k integer generators (the powers
+    t^0..t^{k-1}) and each Lambda-relation row r into the k columns
+    r, t*r, ..., t^{k-1}*r reduced mod t^k - 1.
+    """
+    n = P.ncols * k
+    columns = []
+    for row in P.rows:
+        for s in range(k):
+            col = [0] * n
+            for g, poly in enumerate(row):
+                col[g * k:(g + 1) * k] = reduce_mod_cyclic(poly.shift(s), k)
+            columns.append(col)
+    return IntMatrix.from_columns(columns, n)
 
 
 def derived(P: LambdaPresentation, k: int) -> DerivedModule:
     """The abelian group P/(t^k - 1)P with its induced t-action.
 
-    Each Lambda-generator splits into k integer generators (the powers
-    t^0..t^{k-1}) and each Lambda-relation row r into the k columns
-    r, t*r, ..., t^{k-1}*r reduced mod t^k - 1.
+    The t-order is the least divisor d of k with t^d - 1 zero on the
+    group.  For each divisor d of the t-order, the cokernel of t^d - 1 on
+    P/(t^k - 1)P is P/(t^d - 1)P, because t^d - 1 divides t^k - 1; it is
+    computed once, from the d-fold expansion.
 
     >>> P = LambdaPresentation(1, [(parse_poly("2t - 1"),)])
     >>> D = derived(P, 2)
@@ -110,36 +136,27 @@ def derived(P: LambdaPresentation, k: int) -> DerivedModule:
         raise ExpansionTooLarge(
             f"k * ncols = {k} * {P.ncols} exceeds the limit {EXPANSION_LIMIT}")
     n = P.ncols * k
-    columns = []
-    for row in P.rows:
-        for s in range(k):
-            col = [0] * n
-            for g, poly in enumerate(row):
-                coeffs = reduce_mod_cyclic(poly.shift(s), k)
-                for e in range(k):
-                    col[g * k + e] = coeffs[e]
-            columns.append(col)
-    R = IntMatrix.from_columns(columns, n)
-    group = cokernel(R)
-    T = _shift_matrix(P.ncols, k)
+    group = cokernel(_expansion(P, k))
+    T = _shift_matrix(P.ncols, k, 1)
     if n <= 48:
         assert T ** k == IntMatrix.identity(n)
     endo = induced_endo(T, group)
-    if group.is_trivial:
-        return DerivedModule(k=k, group=group, t_action=endo,
-                             t1_invertible=True, t_order=1, order=1)
-    shifted = induced_endo(T - IntMatrix.identity(n), group)
-    t1 = is_automorphism(shifted)
-    t_order = None
-    for d in _divisors(k):
-        power = T ** d
-        delta = power - IntMatrix.identity(n)
-        if all(group.snf.in_column_span(delta.column(j)) for j in range(n)):
-            t_order = d
-            break
-    assert t_order is not None  # t^k - 1 annihilates the quotient
+    t_order = 1
+    if not group.is_trivial:
+        identity = IntMatrix.identity(n)
+        # d = k always qualifies: t^k - 1 is the zero matrix.
+        for t_order in _divisors(k):
+            delta = _shift_matrix(P.ncols, k, t_order) - identity
+            if all(group.snf.in_column_span(c) for c in delta.columns()):
+                break
+    cokernels = []
+    for d in _divisors(t_order):
+        quot = group if d == t_order else cokernel(_expansion(P, d))
+        cokernels.append((d, (quot.invariant_factors, quot.free_rank)))
     return DerivedModule(k=k, group=group, t_action=endo,
-                         t1_invertible=t1, t_order=t_order, order=group.order)
+                         t1_invertible=cokernels[0][1] == ((), 0),
+                         t_order=t_order, order=group.order,
+                         cyclic_cokernels=tuple(cokernels))
 
 
 def group_module(p) -> "LambdaPresentation":
@@ -245,29 +262,16 @@ def fingerprint(D: DerivedModule) -> Fingerprint:
     reached at different k compare equal.
     """
     group = D.group
-    T = D.t_action.T
-    n = group.ambient_rank
-    assert D.t_order is not None
-    cokernels = []
-    for d in _divisors(D.t_order):
-        if d == D.t_order:
-            cokernels.append((d, (group.invariant_factors, group.free_rank)))
-            continue
-        delta = T ** d - IntMatrix.identity(n)
-        quot = cokernel(group.relations.hstack(delta))
-        cokernels.append((d, (quot.invariant_factors, quot.free_rank)))
-    dec = group.snf
-    basis = dec.u_inv @ T @ dec.U
-    rank = dec.rank
-    free_block = IntMatrix([[basis.at(i, j) for j in range(rank, n)]
-                            for i in range(rank, n)])
+    n, rank = group.ambient_rank, group.snf.rank
+    basis = D.t_action.matrix_on_smith_basis()
+    free_block = IntMatrix([basis.row(i)[rank:] for i in range(rank, n)])
     coeffs = charpoly(free_block)
     degree = len(coeffs) - 1
     poly = LaurentPoly({degree - i: c for i, c in enumerate(coeffs) if c})
     return Fingerprint(invariant_factors=group.invariant_factors,
                        free_rank=group.free_rank,
                        t_order=D.t_order,
-                       cyclic_cokernels=tuple(cokernels),
+                       cyclic_cokernels=D.cyclic_cokernels,
                        char_poly=normalize_unit(poly))
 
 
@@ -303,28 +307,18 @@ def direct_sum(P1: LambdaPresentation, P2: LambdaPresentation) -> LambdaPresenta
 # structure-existence checkers
 
 
-def _prime_factors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _is_prime(n: int) -> bool:
-    return n >= 2 and _prime_factors(n) == [n]
+    return n >= 2 and _factorize(n) == {n: 1}
 
 
 def cyclic_admits(n: int, k: int) -> dict:
     """Whether Z/n carries a module structure whose degree-k quotient is all
     of Z/n: every prime p | n needs a residue a != 1 with
     1 + a + ... + a^{k-1} = 0 (mod p).
+
+    Such an a is a k-th root of unity other than 1 in (Z/p)^*, which exists
+    exactly when g = gcd(k, p - 1) > 1; the witness is b^((p-1)/g) for the
+    least b >= 2 that makes this power differ from 1.
 
     >>> cyclic_admits(3, 2)
     {'ok': True, 'witnesses': {3: 2}}
@@ -334,19 +328,11 @@ def cyclic_admits(n: int, k: int) -> dict:
     if n < 2 or k < 2:
         raise PreconditionError("need n >= 2 and k >= 2")
     witnesses = {}
-    ok = True
-    for p in _prime_factors(n):
-        found = None
-        for a in range(p):
-            if a == 1:
-                continue
-            if sum(pow(a, i, p) for i in range(k)) % p == 0:
-                found = a
-                break
-        witnesses[p] = found
-        if found is None:
-            ok = False
-    return {"ok": ok, "witnesses": witnesses}
+    for p in _factorize(n):
+        g = gcd(k, p - 1)
+        witnesses[p] = None if g == 1 else next(
+            w for w in (pow(b, (p - 1) // g, p) for b in range(2, p)) if w != 1)
+    return {"ok": None not in witnesses.values(), "witnesses": witnesses}
 
 
 def cyclic_structure_count(p: int, r: int):

@@ -13,6 +13,7 @@ from math import prod
 from operator import mul
 
 from .errors import PreconditionError
+from .laurent import _factorize
 
 
 class NotEquivariant(PreconditionError):
@@ -458,18 +459,8 @@ def primary_decomposition(G: FgAbelianGroup) -> dict:
         raise NotFinite("primary decomposition needs a finite group")
     out: dict[int, list[int]] = {}
     for d in G.invariant_factors:
-        rest = d
-        p = 2
-        while p * p <= rest:
-            if rest % p == 0:
-                power = 1
-                while rest % p == 0:
-                    power *= p
-                    rest //= p
-                out.setdefault(p, []).append(power)
-            p += 1
-        if rest > 1:
-            out.setdefault(rest, []).append(rest)
+        for p, a in _factorize(d).items():
+            out.setdefault(p, []).append(p ** a)
     return {p: sorted(powers, reverse=True)
             for p, powers in sorted(out.items())}
 

@@ -63,6 +63,11 @@ def test_json_error_object(capsys):
     payload = json.loads(out)
     assert payload["error"]["exit_code"] == 3
     assert payload["command"] == "derived"
+    # 1000036000099 = 1000003 * 1000033 is past the factoring bound
+    code, payload = run_json(capsys, "admits", "--cyclic", "1000036000099",
+                             "3")
+    assert code == 3 and payload["error"]["exit_code"] == 3
+    assert payload["error"]["type"] == "PreconditionError"
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ from cgalex.laurent import (LaurentPoly, ZERO, ONE, T, ONE_MINUS_T,
                             split_unipotent, cyclotomic, euler_phi,
                             unipotent_admissible, reduce_mod_cyclic,
                             ZeroAtNegativeExponent, NotUnipotentSplit,
-                            PolySyntax)
+                            PolySyntax, FACTOR_LIMIT, _factorize)
+from cgalex import PreconditionError
 
 import oracles
 
@@ -269,6 +270,20 @@ def test_exact_div():
         exact_div(P("t^2 + 1"), P("t - 1"))
     assert divides(P("t - 1"), P("t^6 - 1"))
     assert not divides(P("t^4 + 1"), P("t^6 - 1"))
+    # leading coefficients that are not units
+    assert exact_div(P("2t^2 + t - 1"), P("2t - 1")) == P("t + 1")
+    assert not divides(P("4t - 2"), P("2t - 1"))  # quotient 1/2 over Q
+    assert not divides(P("2t - 1"), P("t^2 + 1"))
+    assert gcd_primitive(P("6t^2 + 3t - 3"), P("6t^2 + t - 2")) == P("2t - 1")
+
+
+def test_factorize_is_bounded():
+    assert _factorize(1) == {}
+    assert _factorize(2 ** 40 * 1000003) == {2: 40, 1000003: 1}
+    assert _factorize(1000000007) == {1000000007: 1}
+    with pytest.raises(PreconditionError):
+        _factorize(1000003 * 1000033)  # both primes above FACTOR_LIMIT
+    assert FACTOR_LIMIT == 10 ** 6
 
 
 def test_euler_phi():

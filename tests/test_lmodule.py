@@ -21,7 +21,9 @@ from cgalex.lmodule import (LambdaPresentation, derived, derived_of_group,
                             parse_lm, serialize_lm,
                             ExpansionTooLarge, ZeroPolynomial, EvenOrder,
                             NotTorsion, ReduciblePresentation)
-from cgalex.zmodule import endo_order, is_automorphism, induced_endo, IntMatrix
+from cgalex import zmodule
+from cgalex.zmodule import (endo_order, is_automorphism, induced_endo,
+                            IntMatrix, cokernel)
 from cgalex.cgroup import CPresentation, CRelation, RealizationData, realize
 from cgalex.laurent import (LaurentPoly, ZERO, ONE, parse_poly, cyclotomic,
                             normalize_unit)
@@ -118,6 +120,39 @@ def test_derived_t_order_matches_endo_order():
                 assert D.t_order == 1
             else:
                 assert D.t_order == endo_order(D.t_action, k)
+            n = D.group.ambient_rank
+            assert D.t1_invertible == is_automorphism(induced_endo(
+                D.t_action.T - IntMatrix.identity(n), D.group))
+            # derived reads the cokernel of t^d - 1 off the d-fold
+            # expansion; here it is taken on the group, as [R | T^d - I]
+            assert [d for d, _ in D.cyclic_cokernels] == [
+                d for d in range(1, D.t_order + 1) if D.t_order % d == 0]
+            for d, invariants in D.cyclic_cokernels:
+                delta = D.t_action.T ** d - IntMatrix.identity(n)
+                quot = cokernel(D.group.relations.hstack(delta))
+                assert invariants == (quot.invariant_factors, quot.free_rank)
+
+
+def test_derived_and_fingerprint_smith_and_power_counts(monkeypatch):
+    # t^d - 1 comes straight from the shift permutation, never from a dense
+    # power, and each cokernel of t^d - 1 is one Smith form: A_60 of
+    # Lambda/(Phi_6) has t-order 6, so the group and d = 1, 2, 3 make four.
+    counts = {"smith": 0, "pow": 0}
+    smith, power = zmodule.smith_normal_form, IntMatrix.__pow__
+
+    def counted_smith(A):
+        counts["smith"] += 1
+        return smith(A)
+
+    def counted_pow(self, e):
+        counts["pow"] += 1
+        return power(self, e)
+
+    monkeypatch.setattr(zmodule, "smith_normal_form", counted_smith)
+    monkeypatch.setattr(IntMatrix, "__pow__", counted_pow)
+    fp = fingerprint(derived(P("t^2 - t + 1"), 60))
+    assert fp.t_order == 6 and fp.free_rank == 2
+    assert counts == {"smith": 4, "pow": 0}
 
 
 def test_derived_t_order_matches_quotient_ring_oracle():
@@ -307,6 +342,11 @@ def test_cyclic_admits_golden():
     assert cyclic_admits(5, 2) == {"ok": True, "witnesses": {5: 4}}
     report = cyclic_admits(3, 3)
     assert not report["ok"] and report["witnesses"] == {3: None}
+    # a witness is a root of unity read off gcd(k, p - 1), not a scan of Z/p
+    assert cyclic_admits(1000000007, 3) == {
+        "ok": False, "witnesses": {1000000007: None}}
+    assert cyclic_admits(1000000007, 2) == {
+        "ok": True, "witnesses": {1000000007: 1000000006}}
 
 
 def test_cyclic_admits_matches_exhaustive_roots():
