@@ -16,8 +16,8 @@ from typing import Optional
 
 from .errors import ParseError, PreconditionError
 from .laurent import (LaurentPoly, ZERO, ONE, ONE_MINUS_T, parse_poly,
-                      normalize_unit, gcd_primitive, reduce_mod_cyclic,
-                      divides, exact_div, _factorize)
+                      normalize_unit, reduce_mod_cyclic, divides, exact_div,
+                      _content, _dense, _factorize, _from_dense, _long_div)
 from .zmodule import (IntMatrix, cokernel, induced_endo, GroupEndo,
                       FgAbelianGroup, charpoly)
 
@@ -99,6 +99,31 @@ def _shift_matrix(ncols: int, k: int, d: int) -> IntMatrix:
     return IntMatrix(entries)
 
 
+def _permutation_order_divides(T: IntMatrix, k: int) -> bool:
+    """Whether T is a permutation matrix with T^k = I.
+
+    T e_j = e_sigma(j) is read off the rows: each has one nonzero entry,
+    a 1, in a column no other row uses.  Then sigma^k = id exactly when
+    every cycle length of sigma divides k.
+    """
+    n = T.rows
+    sigma = [None] * n
+    for i, row in enumerate(T.entries):
+        if row.count(0) != n - 1 or 1 not in row:
+            return False
+        sigma[row.index(1)] = i
+    if None in sigma:
+        return False
+    seen = [False] * n
+    for start in range(n):
+        length, j = 0, start
+        while not seen[j]:
+            seen[j], j, length = True, sigma[j], length + 1
+        if length and k % length:
+            return False
+    return True
+
+
 def _expansion(P: LambdaPresentation, k: int) -> IntMatrix:
     """The integer relation matrix of P/(t^k - 1)P.
 
@@ -138,8 +163,7 @@ def derived(P: LambdaPresentation, k: int) -> DerivedModule:
     n = P.ncols * k
     group = cokernel(_expansion(P, k))
     T = _shift_matrix(P.ncols, k, 1)
-    if n <= 48:
-        assert T ** k == IntMatrix.identity(n)
+    assert _permutation_order_divides(T, k)
     endo = induced_endo(T, group)
     t_order = 1
     if not group.is_trivial:
@@ -181,21 +205,179 @@ def derived_of_group(p, k: int) -> DerivedModule:
     return derived(group_module(p), k)
 
 
-def _det(rows) -> LaurentPoly:
-    n = len(rows)
-    if n == 0:
-        return ONE
-    if n == 1:
-        return rows[0][0]
-    total = ZERO
-    for idx in range(n):
-        entry = rows[idx][0]
-        if entry.is_zero:
-            continue
-        minor = [r[1:] for p, r in enumerate(rows) if p != idx]
-        term = entry * _det(minor)
-        total = total + term if idx % 2 == 0 else total - term
-    return total
+# ---------------------------------------------------------------------------
+# Alexander polynomial by elimination
+#
+# A matrix here is a list of rows, each a list of dense coefficient lists
+# in Z[t] (index = exponent, [] for zero).
+
+
+def _mul(a, b):
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        if x:
+            for k, y in enumerate(b):
+                out[i + k] += x * y
+    return out
+
+
+def _sub(a, b):
+    """a - b, without high zero terms."""
+    out = [x - y for x, y in zip(a, b)] + a[len(b):] + [-y for y in b[len(a):]]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _mod(row, p):
+    """A row reduced mod p, each coefficient in [0, p)."""
+    out = []
+    for entry in row:
+        entry = [x % p for x in entry]
+        while entry and not entry[-1]:
+            entry.pop()
+        out.append(entry)
+    return out
+
+
+def _shift_to_zero(row):
+    """Divide a row by the power of t common to its entries (a unit of Lambda)."""
+    low = min((next(e for e, c in enumerate(entry) if c)
+               for entry in row if entry), default=0)
+    return [entry[low:] for entry in row] if low else row
+
+
+def _primitive(row):
+    """Divide a row by the integer content of its entries (a unit of Q[t])."""
+    c = _content(x for entry in row for x in entry)
+    return [[x // c for x in entry] for entry in row] if c > 1 else row
+
+
+def _column_euclid(rows, j, qualifies, normalize):
+    """Euclid's algorithm down column j, by row operations on `rows`.
+
+    The pivot is the lowest-degree entry that `qualifies`.  Every other row
+    whose entry is not of lower degree becomes s * row - q * pivot_row, with
+    s * entry = q * pivot + remainder the pseudo-division of
+    laurent._long_div (s is 1 when the pivot's leading coefficient is +-1),
+    and is then passed through `normalize`.  The degree of the pivot falls
+    at each round, and Euclid stops once no entry besides the pivot
+    qualifies.  Returns the rows whose entry in column j is nonzero.
+    """
+    while True:
+        live = [i for i, row in enumerate(rows) if row[j]]
+        candidates = [i for i in live if qualifies(rows[i][j])]
+        if len(live) < 2 or not candidates:
+            return live
+        p = min(candidates, key=lambda i: len(rows[i][j]))
+        pivot_row = rows[p]
+        den = pivot_row[j]
+        for i in live:
+            num = rows[i][j]
+            if i == p or len(num) < len(den):
+                continue
+            quot, _ = _long_div(num, den, exact=False)
+            # s * num = quot * den + rem with deg rem < deg den, so the
+            # leading coefficients give s.
+            s = quot[-1] * den[-1] // num[-1]
+            rows[i] = normalize([_sub([s * x for x in a], _mul(quot, b))
+                                 for a, b in zip(rows[i], pivot_row)])
+        if not any(rows[i][j] and qualifies(rows[i][j])
+                   for i in live if i != p):
+            return [i for i in live if rows[i][j]]
+
+
+def _eliminate(rows, columns, qualifies, normalize):
+    """Column-Euclid elimination of `rows` in place.
+
+    Each column that Euclid leaves with a single nonzero entry is removed
+    together with that entry's row; the entry is its pivot.  The columns
+    are swept again as long as one of them is removed, since removing a
+    row can leave a single entry in a column that stalled before.  Returns
+    (pivots, zero, stalled): the pivots, the columns left with no nonzero
+    entry, and the columns left with several.
+    """
+    pivots, zero, stalled = [], [], list(columns)
+    progress = True
+    while progress:
+        progress = False
+        for j in list(stalled):
+            live = _column_euclid(rows, j, qualifies, normalize)
+            if len(live) < 2:
+                stalled.remove(j)
+                progress = True
+                if live:
+                    pivots.append(rows.pop(live[0])[j])
+                else:
+                    zero.append(j)
+    return pivots, zero, stalled
+
+
+def _last_bareiss_minors(rows, m):
+    """Fraction-free (Bareiss) elimination with row pivoting of a matrix of
+    rank m with m columns.  Every entry stays a minor of the input; the
+    last column's entries below row m - 2 end as the maximal minors on the
+    m - 1 pivot rows and one other row, up to sign."""
+    A = [list(row) for row in rows]
+    prev = [1]
+    for k in range(m - 1):
+        p = min((i for i in range(k, len(A)) if A[i][k]),
+                key=lambda i: len(A[i][k]))
+        A[k], A[p] = A[p], A[k]
+        top = A[k]
+        for i in range(k + 1, len(A)):
+            row = A[i]
+            A[i] = row[:k + 1] + [
+                _long_div(_sub(_mul(top[k], row[j]), _mul(row[k], top[j])),
+                          prev, exact=True)[0]
+                for j in range(k + 1, m)]
+        prev = top[k]
+    return [A[i][m - 1] for i in range(m - 1, len(A))]
+
+
+def _kernel_mod_p(B, m, p):
+    """A nonzero x in F_p[t]^m with B x = 0 mod p, or None when B has rank
+    m over F_p(t).  Row operations on [B^T | I] eliminate the columns of
+    B^T; a row left over has B^T part 0, and its I part is x."""
+    rows = [_mod([row[i] for row in B] + [[1] if k == i else []
+                                          for k in range(m)], p)
+            for i in range(m)]
+    _eliminate(rows, range(len(B)), bool, lambda row: _mod(row, p))
+    return rows[0][len(B):] if rows else None
+
+
+def _minor_content(rows, m):
+    """The gcd c of the contents of the maximal minors of `rows`, a matrix
+    of rank m with m columns.
+
+    N, the gcd of the contents of the maximal minors that Bareiss reaches,
+    is a multiple of c, and is c when those minors are all of them.
+    Otherwise, for each prime p of N, v_p(c) counts the lowering steps:
+    while B mod p has rank below m, take x in its kernel mod p with x_j not
+    0 mod p, and replace column j by B x / p.  Every maximal minor is then
+    x_j / p times the old one, so v_p of each falls by exactly one.
+    """
+    n = 0
+    for minor in _last_bareiss_minors(rows, m):
+        n = gcd(n, _content(minor))
+    if n == 1 or m == 1 or len(rows) == m:
+        return n
+    c = 1
+    for p, bound in _factorize(n).items():
+        B = [list(row) for row in rows]
+        for _ in range(bound):
+            x = _kernel_mod_p(B, m, p)
+            if x is None:
+                break
+            j = next(i for i, xi in enumerate(x) if xi)
+            for row in B:
+                # image is this row's entry of -B x; the sign is a unit
+                image = []
+                for xi, entry in zip(x, row):
+                    image = _sub(image, _mul(xi, entry))
+                row[j] = [v // p for v in image]
+            c *= p
+    return c
 
 
 def alexander_polynomial(P: LambdaPresentation) -> LaurentPoly:
@@ -203,6 +385,18 @@ def alexander_polynomial(P: LambdaPresentation) -> LaurentPoly:
 
     A presentation with fewer (independent) rows than columns has free
     Lambda-rank, in which case the answer is 0 and NotTorsion is warned.
+
+    Computed by elimination, in three passes of one column-Euclid loop:
+
+    1. over Lambda: each column's integer content and power of t are
+       factors of every maximal minor; Euclid with pivots of leading
+       coefficient +-1 is Lambda-unimodular, and a column left with one
+       nonzero entry a contributes the factor a and goes with its row;
+    2. over Q[t], on what is left: by pseudo-division, the product of the
+       pivots is the gcd of its maximal minors up to a rational constant,
+       so its primitive part is that of Delta's last factor;
+    3. the content of that factor, from Bareiss and, prime by prime,
+       eliminations over F_p(t) (see _minor_content).
 
     >>> q = parse_poly("t^2 - t + 1")
     >>> P = LambdaPresentation(1, [(q,)])
@@ -216,14 +410,37 @@ def alexander_polynomial(P: LambdaPresentation) -> LaurentPoly:
         warnings.warn(NotTorsion(
             f"{len(P.rows)} rows cannot span a rank-{m} module"))
         return ZERO
-    from itertools import combinations
-    g = ZERO
-    for picked in combinations(P.rows, m):
-        g = gcd_primitive(g, _det([list(r) for r in picked]))
-    if g.is_zero:
+    rows = []
+    for row in P.rows:
+        low = min((e.lowest_exponent for e in row if e), default=0)
+        rows.append([_dense(e.shift(-low)) for e in row])
+    factors = []
+    for j in range(m):
+        c = _content(x for row in rows for x in row[j])
+        if c:
+            low = min(next(e for e, x in enumerate(row[j]) if x)
+                      for row in rows if row[j])
+            for row in rows:
+                row[j] = [x // c for x in row[j][low:]]
+            factors.append([c])
+    pivots, zero, left = _eliminate(rows, range(m), lambda a: abs(a[-1]) == 1,
+                                    _shift_to_zero)
+    factors += pivots
+    rows = [[row[j] for j in left] for row in rows]
+    rows = [row for row in rows if any(row)]
+    if not zero and left and len(rows) >= len(left):
+        pivots, zero, _ = _eliminate([list(row) for row in rows],
+                                     range(len(left)), bool, _primitive)
+        factors += [[x // _content(g) for x in g] for g in pivots]
+        if not zero:
+            factors.append([_minor_content(rows, len(left))])
+    if zero or len(rows) < len(left):
         warnings.warn(NotTorsion("all maximal minors vanish"))
         return ZERO
-    return normalize_unit(g)
+    delta = [1]
+    for f in factors:
+        delta = _mul(delta, f)
+    return normalize_unit(_from_dense(delta))
 
 
 def is_finitely_z_generated(delta: LaurentPoly) -> bool:

@@ -10,6 +10,7 @@ agreement between the two routes is meaningful.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
@@ -107,6 +108,88 @@ def smith_diagonal_second_elimination(rows, cols=None):
         diag.append(abs(A[k][k]))
         k += 1
     return diag
+
+
+# ---------------------------------------------------------------------------
+# maximal minors, enumerated
+#
+# Polynomials are {exponent: coefficient} maps with nonzero coefficients.
+
+
+def _poly_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _poly_add(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def det_poly(rows):
+    """Determinant by cofactor expansion along the first column."""
+    n = len(rows)
+    if n == 0:
+        return {0: 1}
+    total = {}
+    for i in range(n):
+        if not rows[i][0]:
+            continue
+        minor = [row[1:] for p, row in enumerate(rows) if p != i]
+        total = _poly_add(total, _poly_mul(rows[i][0], det_poly(minor)),
+                          1 if i % 2 == 0 else -1)
+    return total
+
+
+def _canonical(coeff_map):
+    """Lowest exponent 0 and positive leading coefficient."""
+    if not coeff_map:
+        return {}
+    low = min(coeff_map)
+    sign = 1 if coeff_map[max(coeff_map)] > 0 else -1
+    return {e - low: sign * c for e, c in coeff_map.items()}
+
+
+def _gcd_over_z(a, b):
+    """GCD in Z[t] of canonical maps: the gcd of the contents times the
+    primitive integer multiple of the monic GCD over Q, which Euclid finds
+    with Fraction coefficients."""
+    if not a or not b:
+        return _canonical(a or b)
+    content = gcd(*a.values(), *b.values())
+    x = [Fraction(a.get(e, 0)) for e in range(max(a) + 1)]
+    y = [Fraction(b.get(e, 0)) for e in range(max(b) + 1)]
+    while y:
+        while len(x) >= len(y):
+            q = x[-1] / y[-1]
+            shift = len(x) - len(y)
+            for i, c in enumerate(y):
+                x[shift + i] -= q * c
+            x.pop()
+            while x and not x[-1]:
+                x.pop()
+        x, y = y, x
+    scale = 1
+    for c in x:
+        scale = scale * c.denominator // gcd(scale, c.denominator)
+    ints = [int(c * scale) for c in x]
+    g = gcd(*ints)
+    return _canonical({e: content * c // g for e, c in enumerate(ints) if c})
+
+
+def minor_gcd_by_enumeration(rows, ncols):
+    """GCD over all maximal minors of a matrix of {exp: coeff} entries, each
+    minor by cofactor expansion, canonicalized like the library output.
+    Returns {} when every minor vanishes or there are too few rows."""
+    g = {}
+    for picked in combinations(rows, ncols):
+        g = _gcd_over_z(g, _canonical(det_poly([list(r) for r in picked])))
+    return g
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import random
 import warnings
+from math import gcd
 
 import pytest
 
 from cgalex.lmodule import (LambdaPresentation, derived, derived_of_group,
+                            group_module,
                             alexander_polynomial, is_finitely_z_generated,
                             fingerprint, sequence, direct_sum,
                             cyclic_admits, cyclic_structure_count,
@@ -155,6 +157,25 @@ def test_derived_and_fingerprint_smith_and_power_counts(monkeypatch):
     assert counts == {"smith": 4, "pow": 0}
 
 
+def test_shift_certificate_reads_the_permutation(monkeypatch):
+    from cgalex.lmodule import _permutation_order_divides, _shift_matrix
+    for ncols, k, d in ((1, 1, 1), (1, 6, 1), (2, 4, 1), (3, 5, 1), (2, 6, 4)):
+        T = _shift_matrix(ncols, k, d)
+        for e in range(1, 2 * k + 1):
+            assert _permutation_order_divides(T, e) == (
+                T ** e == IntMatrix.identity(ncols * k))
+    for entries in ([[0, 2], [1, 0]], [[0, -1], [1, 0]], [[1, 1], [0, 0]],
+                    [[0, 1], [0, 1]], [[0, 1, 0], [1, 0, 0]]):
+        assert not _permutation_order_divides(IntMatrix(entries), 2)
+    # At every size, derived checks T^k = I without a dense power.
+    power = IntMatrix.__pow__
+    calls = []
+    monkeypatch.setattr(IntMatrix, "__pow__",
+                        lambda self, e: calls.append(e) or power(self, e))
+    derived(P("t^2 - t + 1"), 6)
+    assert calls == []
+
+
 def test_derived_t_order_matches_quotient_ring_oracle():
     # Lambda/(f) with f monic: t-order in Z[t]/(f, t^k-1) via plain
     # dense-coefficients arithmetic
@@ -211,7 +232,7 @@ def test_poly_golden():
 def test_poly_matches_sympy_minor_gcd():
     rng = random.Random(55)
     for _ in range(40):
-        ncols = rng.randrange(1, 3)
+        ncols = rng.randrange(1, 4)
         nrows = rng.randrange(ncols, ncols + 2)
         rows = [tuple(LaurentPoly({rng.randrange(-1, 3): rng.randrange(-3, 4)
                                    for _ in range(rng.randrange(3))})
@@ -224,6 +245,105 @@ def test_poly_matches_sympy_minor_gcd():
         want = oracles.sympy_minor_gcd(
             [[dict(entry.items()) for entry in row] for row in rows], ncols)
         assert dict(got.items()) == want
+
+
+def _random_entry(rng):
+    """Up to three terms with exponents in -2..2: negative exponents and
+    non-unit leading coefficients are common."""
+    return LaurentPoly({rng.randrange(-2, 3): rng.randrange(-4, 5)
+                        for _ in range(rng.randrange(4))})
+
+
+def _scaled(entry, s):
+    return LaurentPoly({e: s * c for e, c in entry.items()})
+
+
+def test_poly_matches_minor_enumeration():
+    # A quarter of the presentations are scaled whole, a quarter in one
+    # column and a quarter in one row, so that the content of Delta is
+    # often above 1, and often not a column's.
+    rng = random.Random(4)
+    contents = set()
+    for _ in range(300):
+        ncols = rng.randint(1, 4)
+        rows = [[_random_entry(rng) for _ in range(ncols)]
+                for _ in range(ncols + rng.randint(0, 3))]
+        kind = rng.randrange(4)
+        if kind == 0:
+            s = rng.choice((2, 3, 4, 6, 8, 9, 12))
+            rows = [[_scaled(e, s) for e in row] for row in rows]
+        elif kind == 1:
+            s, j = rng.choice((2, 3, 4, 9)), rng.randrange(ncols)
+            for row in rows:
+                row[j] = _scaled(row[j], s)
+        elif kind == 2:
+            s, i = rng.choice((2, 3, 4, 6, 12)), rng.randrange(len(rows))
+            rows[i] = [_scaled(e, s) for e in rows[i]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = alexander_polynomial(LambdaPresentation(ncols, rows))
+        want = oracles.minor_gcd_by_enumeration(
+            [[dict(entry.items()) for entry in row] for row in rows], ncols)
+        assert dict(got.items()) == want
+        if want:
+            contents.add(gcd(*want.values()))
+    assert {4, 8, 9} <= contents
+
+
+def test_poly_of_braid_groups():
+    # Gorin-Lin: t^2 - t + 1 for B_3 and B_4, 1 from B_5 on.  B_10 has
+    # C(36, 8), about 3.0e7, maximal minors.
+    for strands in range(3, 11):
+        got = alexander_polynomial(group_module(braid_presentation(strands)))
+        assert got == (parse_poly("t^2 - t + 1") if strands < 5 else ONE)
+
+
+def test_poly_column_scaling_multiplies_delta():
+    # Dense and non-monic, 12 x 8: C(12, 8) = 495 minors of order 8.
+    rng = random.Random(12)
+    rows = [[LaurentPoly({e: rng.choice((-3, -2, 2, 3, 5)) if e == 2
+                          else rng.randint(-3, 3) for e in range(-1, 3)})
+             for _ in range(8)] for _ in range(12)]
+    delta = alexander_polynomial(LambdaPresentation(8, rows))
+    scaled = [[_scaled(e, 12) if j == 0 else e for j, e in enumerate(row)]
+              for row in rows]
+    assert alexander_polynomial(LambdaPresentation(8, scaled)) == delta * 12
+
+
+def test_poly_content_spread_across_rows(monkeypatch):
+    # Rows scaled by 4, 12 and 3: every maximal minor has content 12, no
+    # column has, and no leading coefficient is +-1, so the content comes
+    # from the per-prime lowering steps.
+    from cgalex import lmodule
+    factored = []
+
+    def recorded(n):
+        factored.append(n)
+        return factorize(n)
+
+    factorize = lmodule._factorize
+    monkeypatch.setattr(lmodule, "_factorize", recorded)
+    base = [P("2t + 3, 3t - 1").rows[0], P("2t - 5, 3t^2 + 2").rows[0],
+            P("5t + 2, 2t - 3").rows[0]]
+    rows = [[_scaled(e, s) for e in row] for s, row in zip((4, 12, 3), base)]
+    got = alexander_polynomial(LambdaPresentation(2, rows))
+    want = oracles.minor_gcd_by_enumeration(
+        [[dict(entry.items()) for entry in row] for row in rows], 2)
+    assert dict(got.items()) == want and gcd(*want.values()) == 12
+    assert any(n % 12 == 0 for n in factored)
+
+
+def test_poly_lowering_column_follows_the_kernel_vector():
+    # Column 2 is column 1 plus twice (t, 1, t^2, 1), so every maximal
+    # minor is even, and the kernel mod 2 is spanned by (0, 1, 1): the
+    # lowering step must replace a column where x is nonzero.  Row 0 is
+    # even too, so the minors Bareiss reaches are multiples of 4, and a
+    # step that zeroes every minor would be counted twice.
+    rows = P("4t + 6, 6t + 4, 10t + 4", "3t - 1, 2t - 5, 2t - 3",
+             "5t + 2, 3t^2 + 2, 5t^2 + 2", "3t + 5, 5t - 3, 5t - 1").rows
+    assert alexander_polynomial(LambdaPresentation(3, rows)) == parse_poly("2")
+    assert oracles.minor_gcd_by_enumeration(
+        [[dict(entry.items()) for entry in row] for row in rows], 3) == {0: 2}
 
 
 def test_poly_warns_not_torsion():
