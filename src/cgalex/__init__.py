@@ -9,6 +9,7 @@ cyclic coverings.
 
 __version__ = "1.0.0"
 
-from .errors import Error, ParseError, PreconditionError
+from .errors import CertificateError, Error, ParseError, PreconditionError
 
-__all__ = ["Error", "ParseError", "PreconditionError", "__version__"]
+__all__ = ["CertificateError", "Error", "ParseError", "PreconditionError",
+           "__version__"]

@@ -7,21 +7,23 @@ text, so the two modes cannot disagree about mathematical content.
 
 Exit codes: 0 success, 1 usage or I/O trouble, 2 file syntax error
 (message carries file:line), 3 precondition violation (disconnected
-graph, zero polynomial, oversized expansion, ...).  Unbounded integers
--- group orders, invariant factors, polynomial values, witnesses -- ride
-as decimal strings in JSON; structural counters (degrees, ranks, counts)
-stay plain numbers.
+graph, zero polynomial, oversized expansion, ...), 4 a certificate of a
+computed answer failed.  Unbounded integers -- group orders, invariant
+factors, polynomial values, witnesses -- ride as decimal strings of any
+length in JSON; structural counters (degrees, ranks, counts) stay plain
+numbers.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
 from typing import Optional
 
-from .errors import ParseError, PreconditionError
+from .errors import CertificateError, ParseError, PreconditionError
 from .laurent import ZERO, eval_at
 from .cgroup import (CPresentation, alexander_matrix, c_product,
                      graph_and_deficiency, parse_cg, realize, reduced_matrix,
@@ -51,13 +53,41 @@ class _Parser(argparse.ArgumentParser):
 # serialization helpers
 
 
+_DIGITS = 512  # below every limit sys.set_int_max_str_digits accepts
+
+
+@functools.lru_cache(maxsize=32)  # level 32 would be 2 * 10^12 digits
+def _ten_power(level: int) -> int:
+    """10^(512 * 2^level)."""
+    return 10 ** _DIGITS if level == 0 else _ten_power(level - 1) ** 2
+
+
+def _decimal(n: int) -> str:
+    """Decimal text of an int of any size.
+
+    str() refuses ints of more than sys.get_int_max_str_digits() digits
+    (4,300 by default, never below 640), so n >= 10^512 is split by divmod
+    at the largest 10^(512 * 2^j) not above it and both halves are
+    converted recursively: str() only sees ints below 10^512.
+    """
+    if n < 0:
+        return "-" + _decimal(-n)
+    if n < _ten_power(0):
+        return str(n)
+    level = 0
+    while _ten_power(level + 1) <= n:
+        level += 1
+    high, low = divmod(n, _ten_power(level))
+    return _decimal(high) + _decimal(low).zfill(_DIGITS << level)
+
+
 def _big(n) -> Optional[str]:
-    return None if n is None else str(n)
+    return None if n is None else _decimal(n)
 
 
 def _group_json(group) -> dict:
     return {
-        "invariant_factors": [str(d) for d in group.invariant_factors],
+        "invariant_factors": [_decimal(d) for d in group.invariant_factors],
         "free_rank": group.free_rank,
         "order": _big(group.order),
     }
@@ -65,12 +95,12 @@ def _group_json(group) -> dict:
 
 def _fingerprint_json(fp) -> dict:
     return {
-        "invariant_factors": [str(d) for d in fp.invariant_factors],
+        "invariant_factors": [_decimal(d) for d in fp.invariant_factors],
         "free_rank": fp.free_rank,
         "t_order": fp.t_order,
         "cyclic_cokernels": [
             {"degree": d,
-             "invariant_factors": [str(x) for x in factors],
+             "invariant_factors": [_decimal(x) for x in factors],
              "free_rank": rank}
             for d, (factors, rank) in fp.cyclic_cokernels],
         "char_poly": str(fp.char_poly),
@@ -80,12 +110,13 @@ def _fingerprint_json(fp) -> dict:
 def _derived_json(D) -> dict:
     return {
         "k": D.k,
-        "invariant_factors": [str(d) for d in D.group.invariant_factors],
+        "invariant_factors": [_decimal(d) for d in D.group.invariant_factors],
         "free_rank": D.group.free_rank,
         "t_order": D.t_order,
         "t1_invertible": D.t1_invertible,
         "order": _big(D.order),
         "fingerprint": _fingerprint_json(fingerprint(D)),
+        "path": D.path,
     }
 
 
@@ -162,7 +193,7 @@ def _cmd_poly(ns):
         at_one = "0"
     else:
         finitely = is_finitely_z_generated(delta)
-        at_one = str(eval_at(delta, 1))
+        at_one = _decimal(eval_at(delta, 1))
     result = {
         "alexander_polynomial": str(delta),
         "value_at_1": at_one,
@@ -178,10 +209,11 @@ def _cmd_derived(ns):
 
 def _cmd_sequence(ns):
     module = _load_module(ns.file)
-    fps, period = sequence(module, ns.K)
+    fps, period, certified = sequence(module, ns.K)
     result = {
         "K": ns.K,
         "period": period,
+        "period_certified": certified,
         "fingerprints": [{"k": i + 1, **_fingerprint_json(fp)}
                          for i, fp in enumerate(fps)],
     }
@@ -274,7 +306,7 @@ def _cmd_admits(ns):
             "question": f"is the cyclic group of order {n} a derived "
                         f"quotient at degree {k}",
             "ok": report["ok"],
-            "witnesses": {str(p): _big(a)
+            "witnesses": {_decimal(p): _big(a)
                           for p, a in sorted(report["witnesses"].items())},
         }
         return result, []
@@ -296,7 +328,7 @@ def _cmd_admits(ns):
         "question": "realize the odd group as a degree-2 derived quotient",
         "ok": True,
         "construction": serialize_lm(module),
-        "resulting_invariant_factors": [str(d)
+        "resulting_invariant_factors": [_decimal(d)
                                         for d in D.group.invariant_factors],
     }
     return result, []
@@ -458,6 +490,8 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         return _emit_error(json_mode, ns.command, 3,
                            type(exc).__name__, str(exc))
+    except CertificateError as exc:
+        return _emit_error(json_mode, ns.command, 4, "certificate", str(exc))
     except OSError as exc:
         return _emit_error(json_mode, ns.command, 1, "io", str(exc))
     if ns.json:

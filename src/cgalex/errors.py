@@ -1,9 +1,9 @@
 """Exception hierarchy shared by all cgalex modules.
 
-Two branches matter to callers: ``ParseError`` (malformed text input,
-carries optional file/line context) and ``PreconditionError`` (well-formed
-input outside an operation's domain).  The CLI maps them to distinct exit
-codes.
+Three branches matter to callers: ``ParseError`` (malformed text input,
+carries optional file/line context), ``PreconditionError`` (well-formed
+input outside an operation's domain) and ``CertificateError`` (a computed
+answer failed its own check).  The CLI maps them to distinct exit codes.
 """
 
 
@@ -29,3 +29,11 @@ class ParseError(Error):
 
 class PreconditionError(Error):
     """Input is outside the mathematical domain of the operation."""
+
+
+class CertificateError(Error):
+    """A certificate that a computed answer must satisfy does not hold.
+
+    Raised instead of an assert, so that the check also runs under
+    ``python -O``; it signals a fault in the program, not in the input.
+    """

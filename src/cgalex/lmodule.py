@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import gcd
-from typing import Optional
+from math import gcd, lcm
+from typing import NamedTuple, Optional
 
-from .errors import ParseError, PreconditionError
+from .errors import CertificateError, ParseError, PreconditionError
 from .laurent import (LaurentPoly, ZERO, ONE, ONE_MINUS_T, parse_poly,
                       normalize_unit, reduce_mod_cyclic, divides, exact_div,
-                      _content, _dense, _factorize, _from_dense, _long_div)
+                      cyclotomic_multiplicities, _content, _dense, _factorize,
+                      _from_dense, _long_div)
 from .zmodule import (IntMatrix, cokernel, induced_endo, GroupEndo,
                       FgAbelianGroup, charpoly)
 
@@ -73,7 +74,9 @@ class DerivedModule:
 
     cyclic_cokernels holds (d, (invariant_factors, free_rank)) of the
     cokernel of t^d - 1 for each divisor d of t_order; t - 1 is invertible
-    exactly when the d = 1 entry is the trivial group.
+    exactly when the d = 1 entry is the trivial group.  path names where
+    the group and the action came from: "z-form" (t on M as a free abelian
+    group, see _z_form) or "expansion" (the k-fold integer expansion).
     """
 
     k: int
@@ -83,6 +86,7 @@ class DerivedModule:
     t_order: int
     order: Optional[int]
     cyclic_cokernels: tuple
+    path: str
 
 
 def _divisors(k: int):
@@ -142,45 +146,189 @@ def _expansion(P: LambdaPresentation, k: int) -> IntMatrix:
     return IntMatrix.from_columns(columns, n)
 
 
-def derived(P: LambdaPresentation, k: int) -> DerivedModule:
-    """The abelian group P/(t^k - 1)P with its induced t-action.
+class _ZForm(NamedTuple):
+    """M as the free abelian group Z^N with t acting by the matrix T;
+    delta, the characteristic polynomial of T, is the Alexander
+    polynomial of M and N = deg delta."""
 
-    The t-order is the least divisor d of k with t^d - 1 zero on the
-    group.  For each divisor d of the t-order, the cokernel of t^d - 1 on
-    P/(t^k - 1)P is P/(t^d - 1)P, because t^d - 1 divides t^k - 1; it is
-    computed once, from the d-fold expansion.
+    T: IntMatrix
+    delta: LaurentPoly
 
-    >>> P = LambdaPresentation(1, [(parse_poly("2t - 1"),)])
-    >>> D = derived(P, 2)
-    >>> D.group.invariant_factors, D.t1_invertible
-    ((3,), True)
+
+def _z_form(P: LambdaPresentation) -> Optional[_ZForm]:
+    """M = P as a free abelian group with the action of t, or None when
+    neither route below shows M to be one.
+
+    1. _lambda_pass removes every column and every column's content is 1:
+       the pivot rows r_i = p_i e_i + sum_{l > i} a_il e_l (columns in the
+       order of removal; the rows left over are all zero) present M.
+    2. Otherwise, when P is square, with determinant delta: delta e_j lies
+       in the row span (adjugate), so M is N = (Lambda/(delta))^ncols, the
+       triangle delta e_i, modulo the rows of P.  N is Z^(ncols * deg delta),
+       which EXPANSION_LIMIT bounds like an expansion.
+
+    Either way, when both extreme coefficients of every p_i are +-1, the
+    triangle presents a module free over Z on {t^s e_i : s < deg p_i}: it
+    maps onto Lambda/(p_1), free on t^0..t^{deg p_1 - 1}, with kernel
+    presented by r_2, r_3, ....  Column (i, s) of t on that basis is
+    t^{s+1} e_i reduced down the triangle.  In case 2, the rows of P and
+    their multiples by t^s, s < deg delta, span the relations over Z, and
+    t is taken on the free quotient of N by them, which must be free of
+    rank deg delta.
     """
+    contents, pivots, zero, left, _ = _lambda_pass(P)
+    if not zero and not left and all(c == 1 for c in contents):
+        order = [j for j, _ in pivots]
+        triangle = [[{e: c for e, c in enumerate(row[j]) if c} for j in order]
+                    for _, row in pivots]
+        relations = []
+    elif len(P.rows) == P.ncols:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NotTorsion)
+            delta = _dense(alexander_polynomial(P))
+        if not delta or P.ncols * (len(delta) - 1) > EXPANSION_LIMIT:
+            return None
+        triangle = [[{e: c for e, c in enumerate(delta) if c} if i == j
+                     else {} for j in range(P.ncols)] for i in range(P.ncols)]
+        relations = [[dict(e.items()) for e in row] for row in P.rows]
+    else:
+        return None
+    rels, degrees = [], []
+    for i, row in enumerate(triangle):
+        p = row[i]
+        low, high = min(p), max(p)
+        if abs(p[low]) != 1 or abs(p[high]) != 1:
+            return None
+        # r_i times the unit p[high] * t^-low: p_i is then monic with
+        # constant term +-1
+        rels.append([{e - low: p[high] * c for e, c in a.items()}
+                     for a in row])
+        degrees.append(high - low)
+
+    def coordinates(f):
+        """The basis coordinates of sum f_i e_i, f a list of {exponent:
+        coefficient} maps, reduced in place."""
+        out = []
+        for i, d in enumerate(degrees):
+            fi, pi = f[i], rels[i][i]
+            while fi:
+                top, bottom = max(fi), min(fi)
+                if top < d and bottom >= 0:
+                    break
+                # subtract c t^shift r_i to clear the term at e; the term
+                # of p_i it meets is its leading 1 or its constant +-1
+                e = top if top >= d else bottom
+                shift = e - d if top >= d else e
+                c = fi[e] * pi[e - shift]
+                for fl, al in zip(f[i:], rels[i][i:]):
+                    for x, a in al.items():
+                        v = fl.get(x + shift, 0) - c * a
+                        if v:
+                            fl[x + shift] = v
+                        else:
+                            del fl[x + shift]
+            out += [fi.get(s, 0) for s in range(d)]
+        return out
+
+    n = sum(degrees)
+    T = IntMatrix.from_columns(
+        [coordinates([{s + 1: 1} if l == i else {} for l in range(len(rels))])
+         for i, d in enumerate(degrees) for s in range(d)], n)
+    if relations:
+        # the Z-span of t^s * row, s < deg delta, is closed under t and
+        # t^-1 on N, since delta(t) = 0 there
+        group = cokernel(IntMatrix.from_columns(
+            [coordinates([{e + s: c for e, c in a.items()} for a in row])
+             for row in relations for s in range(len(delta) - 1)], n))
+        if group.invariant_factors or group.free_rank != len(delta) - 1:
+            raise CertificateError(
+                f"the quotient of (Lambda/(delta))^{P.ncols} by the rows is "
+                f"{group}, not Z^{len(delta) - 1}")
+        T = induced_endo(T, group).free_block()
+    else:
+        delta = [1]
+        for i, d in enumerate(degrees):
+            delta = _mul(delta, [rels[i][i].get(e, 0) for e in range(d + 1)])
+    if list(charpoly(T)) != delta[::-1]:
+        raise CertificateError(
+            "the characteristic polynomial of t on the Z-form is not the "
+            "Alexander polynomial")
+    return _ZForm(T, _from_dense(delta))
+
+
+def _check_degree(P: LambdaPresentation, k: int):
     if k < 1:
         raise PreconditionError(f"quotient degree must be >= 1, got {k}")
     if k * P.ncols > EXPANSION_LIMIT:
         raise ExpansionTooLarge(
             f"k * ncols = {k} * {P.ncols} exceeds the limit {EXPANSION_LIMIT}")
-    n = P.ncols * k
-    group = cokernel(_expansion(P, k))
-    T = _shift_matrix(P.ncols, k, 1)
-    assert _permutation_order_divides(T, k)
+
+
+def derived(P: LambdaPresentation, k: int) -> DerivedModule:
+    """The abelian group P/(t^k - 1)P with its induced t-action.
+
+    When P has a Z-form (see _z_form), M = Z^N with t acting by T, and the
+    group is the cokernel of T^k - I, at a cost that does not grow with k;
+    otherwise it comes from the k-fold integer expansion, with t the
+    block-diagonal shift.  The t-order is the least divisor d of k with
+    t^d - 1 zero on the group.  For each divisor d of the t-order, the
+    cokernel of t^d - 1 on P/(t^k - 1)P is P/(t^d - 1)P, because t^d - 1
+    divides t^k - 1; it is computed once, on its own.
+
+    >>> P = LambdaPresentation(1, [(parse_poly("2t - 1"),)])
+    >>> D = derived(P, 2)
+    >>> D.group.invariant_factors, D.t1_invertible, D.path
+    ((3,), True, 'expansion')
+    >>> derived(LambdaPresentation(1, [(parse_poly("t^2 - t + 1"),)]), 60).path
+    'z-form'
+    """
+    _check_degree(P, k)
+    return _derived(P, k, _z_form(P))
+
+
+def _derived(P: LambdaPresentation, k: int, z: Optional[_ZForm]):
+    """derived(P, k) from the Z-form z of P, or from the expansion when z
+    is None."""
+    if z is None:
+        path = "expansion"
+        T = _shift_matrix(P.ncols, k, 1)
+        assert _permutation_order_divides(T, k)
+        identity = IntMatrix.identity(P.ncols * k)
+
+        def t_minus_1(d):
+            return _shift_matrix(P.ncols, k, d) - identity
+
+        def quotient(d):
+            return cokernel(_expansion(P, d))
+    else:
+        path, T = "z-form", z.T
+        identity = IntMatrix.identity(T.rows)
+        deltas = {}  # the t-order loop and the cokernels share T^d - I
+
+        def t_minus_1(d):
+            if d not in deltas:
+                deltas[d] = T ** d - identity
+            return deltas[d]
+
+        def quotient(d):
+            return cokernel(t_minus_1(d))
+    group = quotient(k)
     endo = induced_endo(T, group)
     t_order = 1
     if not group.is_trivial:
-        identity = IntMatrix.identity(n)
-        # d = k always qualifies: t^k - 1 is the zero matrix.
+        # d = k always qualifies: t^k - 1 is zero on the group.
         for t_order in _divisors(k):
-            delta = _shift_matrix(P.ncols, k, t_order) - identity
+            delta = t_minus_1(t_order)
             if all(group.snf.in_column_span(c) for c in delta.columns()):
                 break
     cokernels = []
     for d in _divisors(t_order):
-        quot = group if d == t_order else cokernel(_expansion(P, d))
+        quot = group if d == t_order else quotient(d)
         cokernels.append((d, (quot.invariant_factors, quot.free_rank)))
     return DerivedModule(k=k, group=group, t_action=endo,
                          t1_invertible=cokernels[0][1] == ((), 0),
                          t_order=t_order, order=group.order,
-                         cyclic_cokernels=tuple(cokernels))
+                         cyclic_cokernels=tuple(cokernels), path=path)
 
 
 def group_module(p) -> "LambdaPresentation":
@@ -294,8 +442,8 @@ def _eliminate(rows, columns, qualifies, normalize):
     together with that entry's row; the entry is its pivot.  The columns
     are swept again as long as one of them is removed, since removing a
     row can leave a single entry in a column that stalled before.  Returns
-    (pivots, zero, stalled): the pivots, the columns left with no nonzero
-    entry, and the columns left with several.
+    (pivots, zero, stalled): the (column, row) pairs removed, in order, the
+    columns left with no nonzero entry, and the columns left with several.
     """
     pivots, zero, stalled = [], [], list(columns)
     progress = True
@@ -307,7 +455,7 @@ def _eliminate(rows, columns, qualifies, normalize):
                 stalled.remove(j)
                 progress = True
                 if live:
-                    pivots.append(rows.pop(live[0])[j])
+                    pivots.append((j, rows.pop(live[0])))
                 else:
                     zero.append(j)
     return pivots, zero, stalled
@@ -380,6 +528,35 @@ def _minor_content(rows, m):
     return c
 
 
+def _lambda_pass(P: LambdaPresentation):
+    """The elimination over Lambda that alexander_polynomial and _z_form
+    share.
+
+    Each row is shifted to lowest exponent 0, and each column is divided by
+    its integer content and its lowest power of t; then _eliminate runs with
+    pivots of leading coefficient +-1.  Returns (contents, pivots, zero,
+    left, rows): the column contents (0 for a zero column), the removed
+    (column, row) pairs in the order of removal, the columns left with no
+    nonzero entry and with several, and the rows still in play.
+    """
+    rows = []
+    for row in P.rows:
+        low = min((e.lowest_exponent for e in row if e), default=0)
+        rows.append([_dense(e.shift(-low)) for e in row])
+    contents = []
+    for j in range(P.ncols):
+        c = _content(x for row in rows for x in row[j])
+        if c:
+            low = min(next(e for e, x in enumerate(row[j]) if x)
+                      for row in rows if row[j])
+            for row in rows:
+                row[j] = [x // c for x in row[j][low:]]
+        contents.append(c)
+    pivots, zero, left = _eliminate(rows, range(P.ncols),
+                                    lambda a: abs(a[-1]) == 1, _shift_to_zero)
+    return contents, pivots, zero, left, rows
+
+
 def alexander_polynomial(P: LambdaPresentation) -> LaurentPoly:
     """GCD of the maximal minors of the relation matrix, unit-normalized.
 
@@ -388,10 +565,10 @@ def alexander_polynomial(P: LambdaPresentation) -> LaurentPoly:
 
     Computed by elimination, in three passes of one column-Euclid loop:
 
-    1. over Lambda: each column's integer content and power of t are
-       factors of every maximal minor; Euclid with pivots of leading
-       coefficient +-1 is Lambda-unimodular, and a column left with one
-       nonzero entry a contributes the factor a and goes with its row;
+    1. over Lambda (_lambda_pass): each column's integer content and power
+       of t are factors of every maximal minor; Euclid with pivots of
+       leading coefficient +-1 is Lambda-unimodular, and a column left with
+       one nonzero entry a contributes the factor a and goes with its row;
     2. over Q[t], on what is left: by pseudo-division, the product of the
        pivots is the gcd of its maximal minors up to a rational constant,
        so its primitive part is that of Delta's last factor;
@@ -410,28 +587,16 @@ def alexander_polynomial(P: LambdaPresentation) -> LaurentPoly:
         warnings.warn(NotTorsion(
             f"{len(P.rows)} rows cannot span a rank-{m} module"))
         return ZERO
-    rows = []
-    for row in P.rows:
-        low = min((e.lowest_exponent for e in row if e), default=0)
-        rows.append([_dense(e.shift(-low)) for e in row])
-    factors = []
-    for j in range(m):
-        c = _content(x for row in rows for x in row[j])
-        if c:
-            low = min(next(e for e, x in enumerate(row[j]) if x)
-                      for row in rows if row[j])
-            for row in rows:
-                row[j] = [x // c for x in row[j][low:]]
-            factors.append([c])
-    pivots, zero, left = _eliminate(rows, range(m), lambda a: abs(a[-1]) == 1,
-                                    _shift_to_zero)
-    factors += pivots
+    contents, pivots, zero, left, rows = _lambda_pass(P)
+    factors = [[c] for c in contents if c]
+    factors += [row[j] for j, row in pivots]
     rows = [[row[j] for j in left] for row in rows]
     rows = [row for row in rows if any(row)]
     if not zero and left and len(rows) >= len(left):
         pivots, zero, _ = _eliminate([list(row) for row in rows],
                                      range(len(left)), bool, _primitive)
-        factors += [[x // _content(g) for x in g] for g in pivots]
+        factors += [[x // _content(row[j]) for x in row[j]]
+                    for j, row in pivots]
         if not zero:
             factors.append([_minor_content(rows, len(left))])
     if zero or len(rows) < len(left):
@@ -476,13 +641,11 @@ def fingerprint(D: DerivedModule) -> Fingerprint:
 
     The cokernels of t^d - 1 are keyed by the divisors of the t-order
     rather than of the quotient degree k, so that isomorphic modules
-    reached at different k compare equal.
+    reached at different k compare equal.  The characteristic polynomial
+    is that of t on the free part of the group.
     """
     group = D.group
-    n, rank = group.ambient_rank, group.snf.rank
-    basis = D.t_action.matrix_on_smith_basis()
-    free_block = IntMatrix([basis.row(i)[rank:] for i in range(rank, n)])
-    coeffs = charpoly(free_block)
+    coeffs = charpoly(D.t_action.free_block())
     degree = len(coeffs) - 1
     poly = LaurentPoly({degree - i: c for i, c in enumerate(coeffs) if c})
     return Fingerprint(invariant_factors=group.invariant_factors,
@@ -492,24 +655,62 @@ def fingerprint(D: DerivedModule) -> Fingerprint:
                        char_poly=normalize_unit(poly))
 
 
+def _certified_order(P: LambdaPresentation, z: Optional[_ZForm]):
+    """An m with T^m = I on the Z-form, checked exactly, or None.
+
+    m is the lcm of the indices d of the cyclotomic factors Phi_d of delta;
+    there is none when delta has another factor, and T^m = I fails when a
+    factor repeats with a nontrivial Jordan block.  m is bounded like a
+    quotient degree (m * ncols <= EXPANSION_LIMIT), so that the quotients
+    at the divisors of m are ones derived accepts.
+    """
+    if z is None:
+        return None
+    mults, fully = cyclotomic_multiplicities(z.delta)
+    m = lcm(*mults)
+    if not fully or m * P.ncols > EXPANSION_LIMIT:
+        return None
+    return m if z.T ** m == IntMatrix.identity(z.T.rows) else None
+
+
 def sequence(P: LambdaPresentation, K: int):
-    """Fingerprints of the quotients at k = 1..K plus the smallest detected
-    period p with fp(A_n) = fp(A_{n+p}) for every tested n <= K - p.
+    """Fingerprints of the quotients at k = 1..K, the least period p of
+    k -> fp(A_k) when p <= K - 1 (else None), and whether that period is
+    certified.
+
+    With T^m = I on the Z-form (see _certified_order), (t^n - 1)M is
+    (t^gcd(n, m) - 1)M, so A_n = A_gcd(n, m): the least period divides m
+    and is the least p | m with fp(A_gcd(n, m)) = fp(A_gcd(n + p, m)) for
+    n = 1..m, which is a proof.  Without that certificate the period is
+    the least p with fp(A_n) = fp(A_{n+p}) for every n <= K - p, which is
+    evidence only, and the flag is False.
 
     >>> P = LambdaPresentation(1, [(parse_poly("t^2 - t + 1"),)])
-    >>> fps, period = sequence(P, 13)
-    >>> period
-    6
+    >>> fps, period, certified = sequence(P, 13)
+    >>> period, certified
+    (6, True)
+    >>> sequence(P, 5)[1:]
+    (None, True)
     """
     if K < 1:
         raise PreconditionError(f"sequence length must be >= 1, got {K}")
-    fps = [fingerprint(derived(P, k)) for k in range(1, K + 1)]
+    _check_degree(P, K)
+    z = _z_form(P)
+    fps = [fingerprint(_derived(P, k, z)) for k in range(1, K + 1)]
+    m = _certified_order(P, z)
+    if m is not None:
+        at = {d: fps[d - 1] if d <= K else fingerprint(_derived(P, d, z))
+              for d in _divisors(m)}
+        period = next(p for p in _divisors(m)
+                      if all(at[gcd(n, m)] == at[gcd(n + p, m)]
+                             for n in range(1, m + 1)))
+        return fps, (period if period < K else None), True
     period = None
     for p in range(1, K):
         if all(fps[n - 1] == fps[n + p - 1] for n in range(1, K - p + 1)):
             period = p
             break
-    return fps, period
+    return fps, period, False
 
 
 def direct_sum(P1: LambdaPresentation, P2: LambdaPresentation) -> LambdaPresentation:

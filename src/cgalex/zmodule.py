@@ -388,6 +388,16 @@ class GroupEndo:
         dec = self.group.snf
         return dec.u_inv @ self.T @ dec.U
 
+    def free_block(self) -> IntMatrix:
+        """The action on the free part of the group: the lower right block
+        u_inv[rank:] @ T @ U[:, rank:] of matrix_on_smith_basis(), computed
+        alone (with free rank 0 it multiplies nothing)."""
+        dec, n = self.group.snf, self.group.ambient_rank
+        rank = dec.rank
+        return (IntMatrix(dec.u_inv.entries[rank:], cols=n) @ self.T
+                @ IntMatrix([row[rank:] for row in dec.U.entries],
+                            cols=n - rank))
+
 
 def induced_endo(T: IntMatrix, G: FgAbelianGroup) -> GroupEndo:
     """Wrap T as an endomorphism of G, verifying T * colspan(R) <= colspan(R).

@@ -56,7 +56,7 @@ def test_criterion_01_trefoil_golden_suite():
     assert derived(module, 5).group.is_trivial
     assert derived(module, 7).group.is_trivial
 
-    _, period = sequence(module, 13)
+    _, period, _ = sequence(module, 13)
     assert period == 6
 
 
@@ -157,7 +157,7 @@ def test_criterion_09_unipotent_even_rank_and_periodicity():
             assert derived(module, k).group.free_rank % 2 == 0
             if gcd(k, n_min) == 1:
                 assert derived(module, k).group.is_trivial
-        _, period = sequence(module, 2 * n_min + 1)
+        _, period, _ = sequence(module, 2 * n_min + 1)
         assert period is not None and n_min % period == 0
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 
 import pytest
 
@@ -127,6 +128,59 @@ def test_sequence_period(capsys):
     assert payload["result"]["period"] is None
     # 3^k - 2^k for k = 1..6
     assert fps_orders(payload) == [[], ["5"], ["19"], ["65"], ["211"], ["665"]]
+
+
+def test_sequence_period_certified(capsys):
+    code, payload = run_json(capsys, "sequence", path("phi6.lm"), "-K", "5")
+    assert code == 0
+    assert payload["result"]["period"] is None
+    assert payload["result"]["period_certified"] is True
+    code, payload = run_json(capsys, "sequence", path("geometric2.lm"),
+                             "-K", "3")
+    assert payload["result"]["period_certified"] is False
+
+
+def test_derived_reports_its_path(capsys):
+    code, payload = run_json(capsys, "derived", path("phi6.lm"), "-k", "12")
+    assert (code, payload["result"]["path"]) == (0, "z-form")
+    code, payload = run_json(capsys, "derived", path("g2.cg"), "-k", "2")
+    assert (code, payload["result"]["path"]) == (0, "expansion")
+
+
+def test_big_integers_past_the_str_limit(capsys, tmp_path):
+    # A_10 of Lambda/((m+1)t - m), m = 10^500, is cyclic of order
+    # (m+1)^10 - m^10, about 5,000 digits, past the default limit of 4,300
+    # digits for int -> str.
+    m = 10 ** 500
+    module = tmp_path / "geo_big.lm"
+    module.write_text(f"cols 1\nrow {m + 1}t - {m}\n")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, payload = run_json(capsys, "derived", str(module), "-k", "10")
+        text_code, text, _ = run(capsys, "derived", str(module), "-k", "10")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == text_code == 0
+    order = (m + 1) ** 10 - m ** 10
+    sys.set_int_max_str_digits(0)
+    try:
+        want = str(order)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(want) > 4300
+    assert payload["result"]["order"] == want
+    assert payload["result"]["invariant_factors"] == [want]
+    assert want in text
+
+
+def test_certificate_failure_exits_4(capsys, monkeypatch):
+    from cgalex import lmodule
+    monkeypatch.setattr(lmodule, "charpoly", lambda T: (1,) * (T.rows + 1))
+    code, out, _ = run(capsys, "derived", path("phi6.lm"), "-k", "3", "--json")
+    assert code == 4
+    error = json.loads(out)["error"]
+    assert (error["type"], error["exit_code"]) == ("certificate", 4)
 
 
 def fps_orders(payload):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 import warnings
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -135,26 +135,28 @@ def test_derived_t_order_matches_endo_order():
                 assert invariants == (quot.invariant_factors, quot.free_rank)
 
 
-def test_derived_and_fingerprint_smith_and_power_counts(monkeypatch):
-    # t^d - 1 comes straight from the shift permutation, never from a dense
-    # power, and each cokernel of t^d - 1 is one Smith form: A_60 of
-    # Lambda/(Phi_6) has t-order 6, so the group and d = 1, 2, 3 make four.
-    counts = {"smith": 0, "pow": 0}
-    smith, power = zmodule.smith_normal_form, IntMatrix.__pow__
+def test_derived_and_fingerprint_smith_and_expansion_counts(monkeypatch):
+    # Lambda/(Phi_6) takes the Z-form: each cokernel of t^d - 1 is one
+    # 2 x 2 Smith form and no expansion is built.  A_60 has t-order 6, so
+    # the group and d = 1, 2, 3 make four.
+    from cgalex import lmodule
+    counts = {"smith": 0, "expansion": 0}
+    smith, expansion = zmodule.smith_normal_form, lmodule._expansion
 
     def counted_smith(A):
         counts["smith"] += 1
+        assert (A.rows, A.cols) == (2, 2)
         return smith(A)
 
-    def counted_pow(self, e):
-        counts["pow"] += 1
-        return power(self, e)
+    def counted_expansion(P, k):
+        counts["expansion"] += 1
+        return expansion(P, k)
 
     monkeypatch.setattr(zmodule, "smith_normal_form", counted_smith)
-    monkeypatch.setattr(IntMatrix, "__pow__", counted_pow)
+    monkeypatch.setattr(lmodule, "_expansion", counted_expansion)
     fp = fingerprint(derived(P("t^2 - t + 1"), 60))
     assert fp.t_order == 6 and fp.free_rank == 2
-    assert counts == {"smith": 4, "pow": 0}
+    assert counts == {"smith": 4, "expansion": 0}
 
 
 def test_shift_certificate_reads_the_permutation(monkeypatch):
@@ -167,13 +169,115 @@ def test_shift_certificate_reads_the_permutation(monkeypatch):
     for entries in ([[0, 2], [1, 0]], [[0, -1], [1, 0]], [[1, 1], [0, 0]],
                     [[0, 1], [0, 1]], [[0, 1, 0], [1, 0, 0]]):
         assert not _permutation_order_divides(IntMatrix(entries), 2)
-    # At every size, derived checks T^k = I without a dense power.
+    # On the expansion, derived checks T^k = I without a dense power.
     power = IntMatrix.__pow__
     calls = []
     monkeypatch.setattr(IntMatrix, "__pow__",
                         lambda self, e: calls.append(e) or power(self, e))
-    derived(P("t^2 - t + 1"), 6)
+    assert derived(P("2t - 1"), 6).path == "expansion"
     assert calls == []
+
+
+# Monic summands with constant term +-1: Lambda/(f) is Z^deg f.
+_MONIC = ("t^2 + t + 1", "t^2 + 1", "t^2 - t + 1", "t^4 - t^3 + t^2 - t + 1",
+          "t^4 - t^2 + 1", "t^3 - t + 1", "t^4 - 2t^3 + 3t^2 - 2t + 1",
+          "t - 1", "t + 1")
+
+
+def _scramble(rng, fs, square):
+    """Rows presenting the sum of the Lambda/(f) for f in fs, hidden by
+    unimodular Lambda-row and -column operations and unit row scalings;
+    unless square, one more row is a Lambda-combination of the others."""
+    n = len(fs)
+    rows = [[f if i == j else ZERO for j in range(n)]
+            for i, f in enumerate(fs)]
+    for i in range(n if n > 1 else 0):
+        c = LaurentPoly({rng.randrange(-1, 2): rng.choice((-1, 1))})
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[(i + 1) % n])]
+    for j in range(n if n > 1 else 0):
+        c = LaurentPoly({rng.randrange(-1, 2): rng.choice((-1, 1))})
+        for row in rows:
+            row[(j + 1) % n] = row[(j + 1) % n] + c * row[j]
+    c = LaurentPoly({rng.randrange(0, 2): rng.choice((-1, 1))})
+    if not square:
+        rows.append([c * a + b for a, b in zip(rows[0], rows[-1])])
+    units = [LaurentPoly.monomial(rng.choice((-1, 1)), rng.randrange(-1, 2))
+             for _ in rows]
+    rows = [[u * a for a in row] for u, row in zip(units, rows)]
+    rng.shuffle(rows)
+    return LambdaPresentation(n, rows)
+
+
+def _t_order_oracle(fs, bound):
+    """The order of t on the sum of the Z[t]/(f), or None past bound:
+    the lcm of the orders in each summand, by explicit reduction."""
+    orders = [oracles.order_of_t_in_quotient(
+        [f.coefficient(e) for e in range(f.degree + 1)], None, bound)
+        for f in fs]
+    return None if None in orders else lcm(*orders)
+
+
+# A scramble of Lambda/(Phi_10) + Lambda/(t^3 - t + 1) on which the pass over
+# Lambda stalls (on 4t^2 - 6t + 4); being square, it has a Z-form all the same.
+_STALL = ("t^3 - t + 1 , t^3 - t + 1",
+          "t^4 - t^3 + 3t^2 - 4t + 3 , 2t^2 - 3t + 2")
+
+
+def test_z_form_matches_the_expansion_and_the_quotient_ring_oracle():
+    from cgalex.lmodule import _derived, _lambda_pass, _z_form
+    rng = random.Random(5)
+    assert _lambda_pass(P(*_STALL))[3] == [0, 1]
+    cases = [(P("t^4 - 2t^3 + 3t^2 - 2t + 1"), ["t^4 - 2t^3 + 3t^2 - 2t + 1"]),
+             (_scramble(rng, [parse_poly("t^4 - t^2 + 1")], False),
+              ["t^4 - t^2 + 1"]),
+             (group_module(braid_presentation(5)), []),
+             (P(*_STALL), ["t^4 - t^3 + t^2 - t + 1", "t^3 - t + 1"])]
+    for square in (False, True) * 6:
+        texts = rng.sample(_MONIC, rng.randrange(2, 4))
+        cases.append((_scramble(rng, [parse_poly(x) for x in texts], square),
+                      texts))
+    for mod, texts in cases:
+        fs = [parse_poly(x) for x in texts]
+        z = _z_form(mod)
+        if z is None:
+            # the pass stalled, and the presentation is not square
+            assert _lambda_pass(mod)[3] and len(mod.rows) > mod.ncols
+            assert derived(mod, 2).path == "expansion"
+            continue
+        assert z.T.rows == sum(f.degree for f in fs)
+        assert z.delta == alexander_polynomial(mod)
+        # the order of t on M, from T and from the summands' quotient rings
+        bound, identity, power, order = 24, IntMatrix.identity(z.T.rows), z.T, 1
+        while power != identity and order <= bound:
+            power, order = power @ z.T, order + 1
+        assert (order if order <= bound else None) == _t_order_oracle(fs, bound)
+        for k in sorted(rng.sample(range(1, 25), 3)):
+            fast, slow = derived(mod, k), _derived(mod, k, None)
+            assert (fast.path, slow.path) == ("z-form", "expansion")
+            # slow.group is cokernel(_expansion(mod, k))
+            assert (fast.group.invariant_factors, fast.group.free_rank) == (
+                slow.group.invariant_factors, slow.group.free_rank)
+            assert fast.t_order == slow.t_order
+            assert fast.t1_invertible == slow.t1_invertible
+            assert fingerprint(fast) == fingerprint(slow)
+
+
+def test_z_form_refuses_modules_the_pass_does_not_free():
+    from cgalex.lmodule import _z_form
+    # Z-free (_STALL plus the sum of its rows), but the pass stalls with no
+    # pivot of leading coefficient +-1, and the presentation is not square
+    stall = P(*_STALL, "t^4 + 3t^2 - 5t + 4 , t^3 + 2t^2 - 4t + 3")
+    assert alexander_polynomial(stall) == alexander_polynomial(P(*_STALL))
+    for mod in (P("2t - 1"),  # one entry in its column: Euclid never runs
+                P("3t - 2"),
+                P("2t^2 - 2t + 2"),  # content 2
+                P("t^2 - t + 1 , 0", "0 , 2t + 2"),
+                P("t - 2", "3"),  # Z/3: Euclid stalls on 3
+                stall,
+                LambdaPresentation(1, ()),
+                P("t^2 - t + 1 , 0")):
+        assert _z_form(mod) is None
+        assert derived(mod, 6).path == "expansion"
 
 
 def test_derived_t_order_matches_quotient_ring_oracle():
@@ -408,15 +512,40 @@ def test_fingerprint_char_poly_on_free_part():
 
 
 def test_sequence_golden():
-    fps, period = sequence(P("t^2 - t + 1"), 13)
-    assert period == 6
+    fps, period, certified = sequence(P("t^2 - t + 1"), 13)
+    assert period == 6 and certified
     assert fps[4].invariant_factors == () and fps[6].invariant_factors == ()
     assert fps[3].invariant_factors == (3,)
-    fps, period = sequence(P("2t - 1"), 6)
-    assert period is None
+    fps, period, certified = sequence(P("2t - 1"), 6)
+    assert period is None and not certified
     orders = [1, 3, 7, 15, 31, 63]
     for fp, n in zip(fps, orders):
         assert fp.invariant_factors == ((n,) if n > 1 else ())
+
+
+def test_sequence_period_is_certified_when_t_has_finite_order():
+    # Lambda/(Phi_6): T^6 = I proves the period 6.  Five fingerprints do
+    # not show it (they alone suggest 4), so K = 5 reports None.
+    assert sequence(P("t^2 - t + 1"), 5)[1:] == (None, True)
+    assert sequence(P("t^2 - t + 1"), 7)[1:] == (6, True)
+    assert sequence(group_module(braid_presentation(5)), 2)[1:] == (1, True)
+    _, period, certified = sequence(direct_sum(P("t^2 + t + 1"),
+                                               P("t^2 + 1")), 13)
+    assert (period, certified) == (12, True)
+    # No certificate: T^6 != I on Lambda/(Phi_6^2), t^3 - t + 1 is not
+    # cyclotomic, 2t - 1 has no Z-form.
+    for text, K in (("t^4 - 2t^3 + 3t^2 - 2t + 1", 13), ("t^3 - t + 1", 8),
+                    ("2t - 1", 6)):
+        assert sequence(P(text), K)[2] is False
+
+
+def test_z_form_certificate_is_a_typed_error(monkeypatch):
+    from cgalex import lmodule
+    from cgalex.errors import CertificateError
+    monkeypatch.setattr(lmodule, "charpoly", lambda T: (1,) * (T.rows + 1))
+    with pytest.raises(CertificateError):
+        derived(P("t^2 - t + 1"), 3)
+    assert derived(P("2t - 1"), 3).path == "expansion"
 
 
 def test_direct_sum_golden():
