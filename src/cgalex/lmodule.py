@@ -155,17 +155,22 @@ class _ZForm(NamedTuple):
     delta: LaurentPoly
 
 
-def _z_form(P: LambdaPresentation) -> Optional[_ZForm]:
+def _z_form(P: LambdaPresentation, limit: int) -> Optional[_ZForm]:
     """M = P as a free abelian group with the action of t, or None when
-    neither route below shows M to be one.
+    neither route below shows M to be one, or when its cost would pass
+    `limit`, counted in rows of the expansion it replaces (see derived):
+    2N for the N x N matrix T, and n = ncols * N >= 2N on route 2, whose
+    set-up works on n rows.
 
     1. _lambda_pass removes every column and every column's content is 1:
        the pivot rows r_i = p_i e_i + sum_{l > i} a_il e_l (columns in the
-       order of removal; the rows left over are all zero) present M.
+       order of removal; the rows left over are all zero) present M.  T is
+       N x N, N = sum deg p_i = deg delta.
     2. Otherwise, when P is square, with determinant delta: delta e_j lies
        in the row span (adjugate), so M is N = (Lambda/(delta))^ncols, the
-       triangle delta e_i, modulo the rows of P.  N is Z^(ncols * deg delta),
-       which EXPANSION_LIMIT bounds like an expansion.
+       triangle delta e_i, modulo the rows of P.  N is Z^(ncols * deg delta);
+       the pivots of the pass divide delta, so their degrees bound it from
+       below before delta is computed.
 
     Either way, when both extreme coefficients of every p_i are +-1, the
     triangle presents a module free over Z on {t^s e_i : s < deg p_i}: it
@@ -176,17 +181,20 @@ def _z_form(P: LambdaPresentation) -> Optional[_ZForm]:
     t is taken on the free quotient of N by them, which must be free of
     rank deg delta.
     """
-    contents, pivots, zero, left, _ = _lambda_pass(P)
+    passed = _lambda_pass(P)
+    contents, pivots, zero, left, _ = passed
     if not zero and not left and all(c == 1 for c in contents):
         order = [j for j, _ in pivots]
         triangle = [[{e: c for e, c in enumerate(row[j]) if c} for j in order]
                     for _, row in pivots]
         relations = []
     elif len(P.rows) == P.ncols:
+        if P.ncols * sum(_degree(row[j]) for j, row in pivots) > limit:
+            return None
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NotTorsion)
-            delta = _dense(alexander_polynomial(P))
-        if not delta or P.ncols * (len(delta) - 1) > EXPANSION_LIMIT:
+            delta = _dense(_delta_after_pass(passed))
+        if not delta:
             return None
         triangle = [[{e: c for e, c in enumerate(delta) if c} if i == j
                      else {} for j in range(P.ncols)] for i in range(P.ncols)]
@@ -204,6 +212,9 @@ def _z_form(P: LambdaPresentation) -> Optional[_ZForm]:
         rels.append([{e - low: p[high] * c for e, c in a.items()}
                      for a in row])
         degrees.append(high - low)
+    n = sum(degrees)
+    if (n if relations else 2 * n) > limit:
+        return None
 
     def coordinates(f):
         """The basis coordinates of sum f_i e_i, f a list of {exponent:
@@ -230,7 +241,6 @@ def _z_form(P: LambdaPresentation) -> Optional[_ZForm]:
             out += [fi.get(s, 0) for s in range(d)]
         return out
 
-    n = sum(degrees)
     T = IntMatrix.from_columns(
         [coordinates([{s + 1: 1} if l == i else {} for l in range(len(rels))])
          for i, d in enumerate(degrees) for s in range(d)], n)
@@ -264,32 +274,42 @@ def _check_degree(P: LambdaPresentation, k: int):
             f"k * ncols = {k} * {P.ncols} exceeds the limit {EXPANSION_LIMIT}")
 
 
-def derived(P: LambdaPresentation, k: int) -> DerivedModule:
+# derived's default for zform: build the Z-form of P for this k
+_BUILD = object()
+
+
+def derived(P: LambdaPresentation, k: int, *,
+            zform=_BUILD) -> DerivedModule:
     """The abelian group P/(t^k - 1)P with its induced t-action.
 
-    When P has a Z-form (see _z_form), M = Z^N with t acting by T, and the
-    group is the cokernel of T^k - I, at a cost that does not grow with k;
-    otherwise it comes from the k-fold integer expansion, with t the
-    block-diagonal shift.  The t-order is the least divisor d of k with
-    t^d - 1 zero on the group.  For each divisor d of the t-order, the
-    cokernel of t^d - 1 on P/(t^k - 1)P is P/(t^d - 1)P, because t^d - 1
-    divides t^k - 1; it is computed once, on its own.
+    When P has a Z-form (see _z_form) with 2N <= k * ncols, M = Z^N with
+    t acting by T, and the group is the cokernel of T^k - I, at a cost
+    that grows only slowly with k; otherwise it comes from the k-fold
+    integer expansion, with t the block-diagonal shift.  The expansion's
+    matrices are sparse with small entries and T's powers dense with
+    growing ones: on single summands of degree 20 to 40 and on sums of
+    two or three, the two routes break even near k * ncols = 2N, and the
+    expansion is 2 to 10 times faster at k * ncols = N.  So a module of
+    high degree at small k keeps the expansion.  zform is the result of
+    _z_form(P, limit) for some limit, when the caller has one (sequence
+    builds one for all its k), or None for the expansion.
+
+    The t-order is the least divisor d of k with t^d - 1 zero on the group.
+    For each divisor d of the t-order, the cokernel of t^d - 1 on
+    P/(t^k - 1)P is P/(t^d - 1)P, because t^d - 1 divides t^k - 1; it is
+    computed once, on its own.
 
     >>> P = LambdaPresentation(1, [(parse_poly("2t - 1"),)])
     >>> D = derived(P, 2)
     >>> D.group.invariant_factors, D.t1_invertible, D.path
     ((3,), True, 'expansion')
-    >>> derived(LambdaPresentation(1, [(parse_poly("t^2 - t + 1"),)]), 60).path
-    'z-form'
+    >>> phi6 = LambdaPresentation(1, [(parse_poly("t^2 - t + 1"),)])
+    >>> derived(phi6, 60).path, derived(phi6, 3).path
+    ('z-form', 'expansion')
     """
     _check_degree(P, k)
-    return _derived(P, k, _z_form(P))
-
-
-def _derived(P: LambdaPresentation, k: int, z: Optional[_ZForm]):
-    """derived(P, k) from the Z-form z of P, or from the expansion when z
-    is None."""
-    if z is None:
+    z = _z_form(P, k * P.ncols) if zform is _BUILD else zform
+    if z is None or 2 * z.T.rows > k * P.ncols:
         path = "expansion"
         T = _shift_matrix(P.ncols, k, 1)
         assert _permutation_order_divides(T, k)
@@ -386,6 +406,12 @@ def _mod(row, p):
             entry.pop()
         out.append(entry)
     return out
+
+
+def _degree(entry):
+    """The distance between the lowest and the highest exponent of a
+    nonzero dense entry."""
+    return len(entry) - 1 - next(e for e, c in enumerate(entry) if c)
 
 
 def _shift_to_zero(row):
@@ -587,7 +613,14 @@ def alexander_polynomial(P: LambdaPresentation) -> LaurentPoly:
         warnings.warn(NotTorsion(
             f"{len(P.rows)} rows cannot span a rank-{m} module"))
         return ZERO
-    contents, pivots, zero, left, rows = _lambda_pass(P)
+    return _delta_after_pass(_lambda_pass(P))
+
+
+def _delta_after_pass(passed) -> LaurentPoly:
+    """alexander_polynomial from the result of _lambda_pass, which
+    _z_form shares, for a presentation with at least as many rows as
+    columns."""
+    contents, pivots, zero, left, rows = passed
     factors = [[c] for c in contents if c]
     factors += [row[j] for j, row in pivots]
     rows = [[row[j] for j in left] for row in rows]
@@ -678,7 +711,9 @@ def sequence(P: LambdaPresentation, K: int):
     k -> fp(A_k) when p <= K - 1 (else None), and whether that period is
     certified.
 
-    With T^m = I on the Z-form (see _certified_order), (t^n - 1)M is
+    The Z-form is built once, when derived would take it at k = K, and
+    serves each k at which derived would take it.  With
+    T^m = I on it (see _certified_order), (t^n - 1)M is
     (t^gcd(n, m) - 1)M, so A_n = A_gcd(n, m): the least period divides m
     and is the least p | m with fp(A_gcd(n, m)) = fp(A_gcd(n + p, m)) for
     n = 1..m, which is a proof.  Without that certificate the period is
@@ -695,11 +730,11 @@ def sequence(P: LambdaPresentation, K: int):
     if K < 1:
         raise PreconditionError(f"sequence length must be >= 1, got {K}")
     _check_degree(P, K)
-    z = _z_form(P)
-    fps = [fingerprint(_derived(P, k, z)) for k in range(1, K + 1)]
+    z = _z_form(P, K * P.ncols)
+    fps = [fingerprint(derived(P, k, zform=z)) for k in range(1, K + 1)]
     m = _certified_order(P, z)
     if m is not None:
-        at = {d: fps[d - 1] if d <= K else fingerprint(_derived(P, d, z))
+        at = {d: fps[d - 1] if d <= K else fingerprint(derived(P, d, zform=z))
               for d in _divisors(m)}
         period = next(p for p in _divisors(m)
                       if all(at[gcd(n, m)] == at[gcd(n + p, m)]

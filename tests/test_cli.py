@@ -177,7 +177,7 @@ def test_big_integers_past_the_str_limit(capsys, tmp_path):
 def test_certificate_failure_exits_4(capsys, monkeypatch):
     from cgalex import lmodule
     monkeypatch.setattr(lmodule, "charpoly", lambda T: (1,) * (T.rows + 1))
-    code, out, _ = run(capsys, "derived", path("phi6.lm"), "-k", "3", "--json")
+    code, out, _ = run(capsys, "derived", path("phi6.lm"), "-k", "4", "--json")
     assert code == 4
     error = json.loads(out)["error"]
     assert (error["type"], error["exit_code"]) == ("certificate", 4)

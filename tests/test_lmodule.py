@@ -224,7 +224,7 @@ _STALL = ("t^3 - t + 1 , t^3 - t + 1",
 
 
 def test_z_form_matches_the_expansion_and_the_quotient_ring_oracle():
-    from cgalex.lmodule import _derived, _lambda_pass, _z_form
+    from cgalex.lmodule import EXPANSION_LIMIT, _lambda_pass, _z_form
     rng = random.Random(5)
     assert _lambda_pass(P(*_STALL))[3] == [0, 1]
     cases = [(P("t^4 - 2t^3 + 3t^2 - 2t + 1"), ["t^4 - 2t^3 + 3t^2 - 2t + 1"]),
@@ -238,21 +238,26 @@ def test_z_form_matches_the_expansion_and_the_quotient_ring_oracle():
                       texts))
     for mod, texts in cases:
         fs = [parse_poly(x) for x in texts]
-        z = _z_form(mod)
+        z = _z_form(mod, EXPANSION_LIMIT)
         if z is None:
             # the pass stalled, and the presentation is not square
             assert _lambda_pass(mod)[3] and len(mod.rows) > mod.ncols
-            assert derived(mod, 2).path == "expansion"
+            assert derived(mod, 24).path == "expansion"
             continue
-        assert z.T.rows == sum(f.degree for f in fs)
+        n = z.T.rows
+        assert n == sum(f.degree for f in fs)
         assert z.delta == alexander_polynomial(mod)
         # the order of t on M, from T and from the summands' quotient rings
-        bound, identity, power, order = 24, IntMatrix.identity(z.T.rows), z.T, 1
+        bound, identity, power, order = 24, IntMatrix.identity(n), z.T, 1
         while power != identity and order <= bound:
             power, order = power @ z.T, order + 1
         assert (order if order <= bound else None) == _t_order_oracle(fs, bound)
-        for k in sorted(rng.sample(range(1, 25), 3)):
-            fast, slow = derived(mod, k), _derived(mod, k, None)
+        # the Z-form serves k once T is at most half the expansion's size
+        least = max(1, -(-2 * n // mod.ncols)) if mod.ncols else 1
+        assert least == 1 or derived(mod, least - 1,
+                                     zform=z).path == "expansion"
+        for k in sorted(rng.sample(range(least, 25), 3)):
+            fast, slow = derived(mod, k, zform=z), derived(mod, k, zform=None)
             assert (fast.path, slow.path) == ("z-form", "expansion")
             # slow.group is cokernel(_expansion(mod, k))
             assert (fast.group.invariant_factors, fast.group.free_rank) == (
@@ -263,7 +268,7 @@ def test_z_form_matches_the_expansion_and_the_quotient_ring_oracle():
 
 
 def test_z_form_refuses_modules_the_pass_does_not_free():
-    from cgalex.lmodule import _z_form
+    from cgalex.lmodule import EXPANSION_LIMIT, _z_form
     # Z-free (_STALL plus the sum of its rows), but the pass stalls with no
     # pivot of leading coefficient +-1, and the presentation is not square
     stall = P(*_STALL, "t^4 + 3t^2 - 5t + 4 , t^3 + 2t^2 - 4t + 3")
@@ -276,8 +281,43 @@ def test_z_form_refuses_modules_the_pass_does_not_free():
                 stall,
                 LambdaPresentation(1, ()),
                 P("t^2 - t + 1 , 0")):
-        assert _z_form(mod) is None
+        assert _z_form(mod, EXPANSION_LIMIT) is None
         assert derived(mod, 6).path == "expansion"
+
+
+def test_z_form_is_not_built_past_the_expansion(monkeypatch):
+    # A module of high degree at small k keeps the expansion, and neither
+    # the N x N matrix of t nor its characteristic polynomial is built.
+    from cgalex import lmodule
+    from cgalex.zmodule import charpoly
+
+    def refuse(*args):
+        raise AssertionError("the Z-form was built")
+
+    def small_charpoly(A):
+        assert A.rows < 100, "the Z-form was built"
+        return charpoly(A)
+
+    high = P("t^2000 - t + 1")
+    monkeypatch.setattr(lmodule, "charpoly", small_charpoly)
+    monkeypatch.setattr(lmodule, "_delta_after_pass", refuse)
+    D = derived(high, 2)
+    assert (D.path, D.group.invariant_factors) == ("expansion", (3,))
+    assert sequence(high, 3)[2] is False
+    # Square, and the pass stalls on the _STALL block: its pivot t^10 - t + 1
+    # divides delta, so the route over (Lambda/(delta))^3 is refused before
+    # delta is computed when 3 * 10 rows are too many.
+    square = direct_sum(P("t^10 - t + 1"), P(*_STALL))
+    assert lmodule._z_form(square, 29) is None
+    monkeypatch.undo()
+    assert derived(P("t^30 - t + 1"), 59).path == "expansion"
+    assert derived(P("t^30 - t + 1"), 60).path == "z-form"
+    # deg delta = 17: the route works on 3 * 17 rows
+    assert derived(square, 16).path == "expansion"
+    assert derived(square, 17).path == "z-form"
+    # the route over (Lambda/(delta))^2 works on 2 * 7 rows
+    assert derived(P(*_STALL), 6).path == "expansion"
+    assert derived(P(*_STALL), 7).path == "z-form"
 
 
 def test_derived_t_order_matches_quotient_ring_oracle():
@@ -544,7 +584,7 @@ def test_z_form_certificate_is_a_typed_error(monkeypatch):
     from cgalex.errors import CertificateError
     monkeypatch.setattr(lmodule, "charpoly", lambda T: (1,) * (T.rows + 1))
     with pytest.raises(CertificateError):
-        derived(P("t^2 - t + 1"), 3)
+        derived(P("t^2 - t + 1"), 4)
     assert derived(P("2t - 1"), 3).path == "expansion"
 
 
